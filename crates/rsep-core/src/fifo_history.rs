@@ -4,9 +4,9 @@
 //! compared against the hashes of the last `capacity` retired producers to
 //! discover pairs that produced the same result; the resulting instruction
 //! distance (difference of commit sequence numbers) trains the distance
-//! predictor. The structure is a FIFO (implemented here as a ring buffer),
-//! the *explicit IDist* variant of Section IV-D2a: every entry carries a
-//! commit sequence number so the distance is computed with a subtraction.
+//! predictor. The structure is a FIFO, the *explicit IDist* variant of
+//! Section IV-D2a: every entry carries a commit sequence number so the
+//! distance is computed with a subtraction.
 //!
 //! When a distance prediction is being propagated with the instruction, the
 //! match that corresponds to the predicted distance is preferred over the
@@ -16,10 +16,34 @@
 //! only one randomly chosen committing instruction per cycle searches the
 //! history; instructions whose confidence already exceeds the
 //! `start_train` threshold are trained through the validation path instead.
+//!
+//! # Hash chains
+//!
+//! The hardware compares the searching hash against every entry in
+//! parallel; a model that did the same serially would pay `capacity`
+//! comparisons per search (2048 for the ideal history), although only
+//! entries with the *same* hash can match. The model therefore keeps the
+//! FIFO as a ring of `capacity` slots indexed by push ordinal (the `n`-th
+//! push lands in slot `n % capacity`), plus a hash chain over it:
+//!
+//! * a head table, one word per hash value (at most 2^16), holds the
+//!   ordinal of the youngest push with that hash;
+//! * each slot links to the ordinal of the next-older push with the same
+//!   hash.
+//!
+//! An entry is live iff its ordinal is among the last `capacity` pushes.
+//! Chains run youngest to oldest, so the walk in [`FifoHistory::find_pair`]
+//! stops at the first dead ordinal; links into slots that have since been
+//! overwritten are never followed, because the overwrite made their
+//! ordinal dead. The walk visits exactly the live same-hash entries, in
+//! the youngest-first order of a full scan, so every [`PairMatch`] and
+//! [`FifoHistoryStats`] value is that of the scan.
+//!
+//! A configured capacity of 0 behaves as a one-entry history: the most
+//! recent producer is always remembered.
 
 use rsep_isa::FoldHash;
 use rsep_predictors::Lfsr;
-use std::collections::VecDeque;
 
 /// Configuration of the FIFO history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,11 +94,13 @@ impl rsep_isa::Fingerprint for FifoHistoryConfig {
     }
 }
 
-/// One record of the history.
+/// One slot of the history ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HistoryEntry {
     csn: u64,
-    hash: u16,
+    /// Link to the next-older push with the same hash: its ordinal plus
+    /// one, or 0 for the end of the chain.
+    older: u64,
 }
 
 /// Result of a history search.
@@ -91,7 +117,16 @@ pub struct PairMatch {
 pub struct FifoHistory {
     config: FifoHistoryConfig,
     hash: FoldHash,
-    entries: VecDeque<HistoryEntry>,
+    /// The ring: push ordinal `n` lives in slot `n % slots_cap` (filled
+    /// lazily, so a huge configured capacity costs nothing until used).
+    entries: Vec<HistoryEntry>,
+    /// Ring size: `capacity`, or 1 for a zero capacity.
+    slots_cap: u64,
+    /// Per hash value, the youngest push with that hash: its ordinal plus
+    /// one, or 0 when there was none.
+    heads: Vec<u64>,
+    /// Number of pushes so far (the next push's ordinal).
+    pushed: u64,
     lfsr: Lfsr,
     /// Committing producers seen in the current cycle (for sampling).
     seen_this_cycle: u32,
@@ -120,7 +155,10 @@ impl FifoHistory {
         FifoHistory {
             config,
             hash: FoldHash::new(config.hash_bits),
-            entries: VecDeque::with_capacity(config.capacity.min(1 << 16)),
+            entries: Vec::with_capacity(config.capacity.clamp(1, 1 << 16)),
+            slots_cap: config.capacity.max(1) as u64,
+            heads: vec![0; 1 << config.hash_bits.min(16)],
+            pushed: 0,
             lfsr: Lfsr::new(0xf1f0_0123_4567),
             seen_this_cycle: 0,
             current_cycle: u64::MAX,
@@ -146,6 +184,16 @@ impl FifoHistory {
     /// Returns `true` when the history is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The live entry pushed with ordinal `link - 1`, or `None` when `link`
+    /// ends the chain or names an entry that has left the FIFO.
+    fn live(&self, link: u64) -> Option<&HistoryEntry> {
+        let ordinal = link.checked_sub(1)?;
+        if self.pushed - ordinal > self.slots_cap {
+            return None;
+        }
+        Some(&self.entries[(ordinal % self.slots_cap) as usize])
     }
 
     /// Decides whether a committing producer may search the history this
@@ -181,12 +229,10 @@ impl FifoHistory {
         self.stats.searches += 1;
         let h = self.hash.hash(result);
         let mut best: Option<PairMatch> = None;
-        // Iterate youngest (closest) first so the default match is the most
-        // recent older instruction, as in the paper.
-        for entry in self.entries.iter().rev() {
-            if entry.hash != h {
-                continue;
-            }
+        // Walk the hash chain youngest (closest) first so the default match
+        // is the most recent older instruction, as in the paper.
+        let mut link = self.heads[usize::from(h)];
+        while let Some(entry) = self.live(link) {
             let distance = (csn - entry.csn) as u32;
             if best.is_none() {
                 best = Some(PairMatch { distance, matched_prediction: false });
@@ -195,6 +241,7 @@ impl FifoHistory {
                 best = Some(PairMatch { distance, matched_prediction: true });
                 break;
             }
+            link = entry.older;
         }
         if let Some(m) = best {
             self.stats.matches += 1;
@@ -209,10 +256,16 @@ impl FifoHistory {
     pub fn push(&mut self, csn: u64, result: u64) {
         self.stats.pushes += 1;
         let h = self.hash.hash(result);
-        if self.entries.len() >= self.config.capacity {
-            self.entries.pop_front();
+        let head = &mut self.heads[usize::from(h)];
+        let entry = HistoryEntry { csn, older: *head };
+        self.pushed += 1;
+        *head = self.pushed;
+        let slot = ((self.pushed - 1) % self.slots_cap) as usize;
+        if slot == self.entries.len() {
+            self.entries.push(entry);
+        } else {
+            self.entries[slot] = entry;
         }
-        self.entries.push_back(HistoryEntry { csn, hash: h });
     }
 
     /// Randomly selects one of `group` committing producers (sampling as

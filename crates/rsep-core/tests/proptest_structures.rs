@@ -2,8 +2,84 @@
 //! reference-counting protocol and the commit FIFO history.
 
 use proptest::prelude::*;
-use rsep_core::{FifoHistory, FifoHistoryConfig, Isrb, IsrbConfig};
-use rsep_isa::{PhysReg, RegClass};
+use rsep_core::{FifoHistory, FifoHistoryConfig, FifoHistoryStats, Isrb, IsrbConfig, PairMatch};
+use rsep_isa::{FoldHash, PhysReg, RegClass};
+use std::collections::VecDeque;
+
+/// The linear-scan FIFO history that the hash-chained [`FifoHistory`]
+/// replaced, kept as its model: every search compares the hash of every
+/// remembered producer, youngest first. A zero capacity remembers one
+/// producer.
+#[derive(Debug)]
+struct ScanHistory {
+    capacity: usize,
+    hash: FoldHash,
+    /// `(csn, hash)` per remembered producer, oldest first.
+    entries: VecDeque<(u64, u16)>,
+    current_cycle: u64,
+    seen_this_cycle: u32,
+    stats: FifoHistoryStats,
+}
+
+impl ScanHistory {
+    fn new(config: FifoHistoryConfig) -> ScanHistory {
+        ScanHistory {
+            capacity: config.capacity,
+            hash: FoldHash::new(config.hash_bits),
+            entries: VecDeque::new(),
+            current_cycle: u64::MAX,
+            seen_this_cycle: 0,
+            stats: FifoHistoryStats::default(),
+        }
+    }
+
+    fn admit_sampled(&mut self, cycle: u64) -> bool {
+        if cycle != self.current_cycle {
+            self.current_cycle = cycle;
+            self.seen_this_cycle = 0;
+        }
+        self.seen_this_cycle += 1;
+        if self.seen_this_cycle > 1 {
+            self.stats.sampled_out += 1;
+            return false;
+        }
+        true
+    }
+
+    fn find_pair(&mut self, csn: u64, result: u64, predicted: Option<u32>) -> Option<PairMatch> {
+        self.stats.searches += 1;
+        let h = self.hash.hash(result);
+        let mut best = None;
+        for &(entry_csn, entry_hash) in self.entries.iter().rev() {
+            if entry_hash != h {
+                continue;
+            }
+            let distance = (csn - entry_csn) as u32;
+            if best.is_none() {
+                best = Some(PairMatch { distance, matched_prediction: false });
+            }
+            if predicted == Some(distance) {
+                best = Some(PairMatch { distance, matched_prediction: true });
+                break;
+            }
+        }
+        if let Some(m) = best {
+            self.stats.matches += 1;
+            if m.matched_prediction {
+                self.stats.predicted_distance_matches += 1;
+            }
+        }
+        best
+    }
+
+    fn push(&mut self, csn: u64, result: u64) {
+        self.stats.pushes += 1;
+        if self.entries.len() >= self.capacity {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((csn, self.hash.hash(result)));
+    }
+}
 
 proptest! {
     /// ISRB protocol invariant: for a register shared `n` times (all sharers
@@ -92,6 +168,88 @@ proptest! {
         for i in 0..pushes {
             fifo.push(i as u64, i as u64);
             prop_assert!(fifo.len() <= capacity);
+        }
+    }
+
+    /// FIFO history: the hash-chained history agrees with the linear-scan
+    /// model on every push / search / sampling sequence — every match, every
+    /// statistic and the occupancy. Hash widths of 1–4 bits force long
+    /// chains of colliding entries; sequences run past the capacity so
+    /// entries are evicted (also exactly at capacity); the predicted
+    /// distances span the history, so both preferred and default matches
+    /// occur.
+    #[test]
+    fn fifo_history_matches_the_linear_scan_model(
+        shape in (0usize..5, 0usize..5, 0u64..4),
+        ops in proptest::collection::vec((0u8..8, 0u64..24, 0u64..5000, 0u64..3), 1..400),
+    ) {
+        let capacity = [0, 1, 2, 128, 2048][shape.0];
+        let hash_bits = [1, 2, 3, 4, 14][shape.1];
+        let config = FifoHistoryConfig { capacity, hash_bits, csn_bits: 10 };
+        let mut fifo = FifoHistory::new(config);
+        let mut model = ScanHistory::new(config);
+        // Large histories need long sequences to fill: repeat the drawn
+        // operations until roughly half of them (the pushes) reach past
+        // capacity. Eviction exactly at capacity has its own test below.
+        let rounds = if capacity > 400 { (capacity / ops.len()).max(1) + shape.2 as usize } else { 1 };
+        let (mut csn, mut cycle) = (0u64, 0u64);
+        for (kind, value, raw_distance, cycle_step) in ops.iter().cycle().take(ops.len() * rounds) {
+            csn += 1;
+            cycle += cycle_step;
+            let result = value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            match kind {
+                0..=3 => {
+                    fifo.push(csn, result);
+                    model.push(csn, result);
+                }
+                4 => prop_assert_eq!(fifo.admit_sampled(cycle, 8), model.admit_sampled(cycle)),
+                _ => {
+                    let span = 2 * capacity.max(1) as u64 + 2;
+                    let predicted = match raw_distance % span {
+                        0 => None,
+                        d => Some(d as u32),
+                    };
+                    prop_assert_eq!(
+                        fifo.find_pair(csn, result, predicted),
+                        model.find_pair(csn, result, predicted)
+                    );
+                }
+            }
+            prop_assert_eq!(fifo.len(), model.entries.len());
+        }
+        prop_assert_eq!(fifo.stats(), model.stats);
+    }
+}
+
+/// FIFO history: eviction happens exactly at capacity. With `capacity`
+/// producers pushed the oldest is still found, whichever hash width; one
+/// more push evicts it, and the model agrees at every step.
+#[test]
+fn fifo_history_evicts_exactly_at_capacity() {
+    for capacity in [1, 2, 128, 2048] {
+        for hash_bits in [1, 4, 14] {
+            let config = FifoHistoryConfig { capacity, hash_bits, csn_bits: 10 };
+            let mut fifo = FifoHistory::new(config);
+            let mut model = ScanHistory::new(config);
+            // Every producer computes the same value, so every entry is on
+            // the one chain; predicting the oldest entry's distance asks
+            // for the far end of it.
+            for csn in 1..=capacity as u64 {
+                fifo.push(csn, 7);
+                model.push(csn, 7);
+            }
+            let oldest = capacity as u32;
+            let search = capacity as u64 + 1;
+            let found = fifo.find_pair(search, 7, Some(oldest));
+            assert_eq!(found, Some(PairMatch { distance: oldest, matched_prediction: true }));
+            assert_eq!(found, model.find_pair(search, 7, Some(oldest)));
+            fifo.push(search, 7);
+            model.push(search, 7);
+            let after = fifo.find_pair(search + 1, 7, Some(oldest + 1));
+            assert_eq!(after, Some(PairMatch { distance: 1, matched_prediction: false }));
+            assert_eq!(after, model.find_pair(search + 1, 7, Some(oldest + 1)));
+            assert_eq!(fifo.len(), capacity);
+            assert_eq!(fifo.stats(), model.stats);
         }
     }
 }

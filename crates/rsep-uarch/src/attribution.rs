@@ -191,14 +191,53 @@ impl StageAttribution {
     pub fn classify_rename(&mut self, renamed: u64, block: RenameBlock) {
         if renamed > 0 {
             self.rename.active += 1;
-            return;
+        } else {
+            *self.rename_stall_class(block) += 1;
         }
+    }
+
+    /// The rename counter of the cycles in which `block` stopped rename.
+    fn rename_stall_class(&mut self, block: RenameBlock) -> &mut u64 {
         match block {
-            RenameBlock::RobFull => self.rename.rob_full += 1,
-            RenameBlock::QueueFull => self.rename.queue_full += 1,
-            RenameBlock::PrfStall => self.rename.prf_stall += 1,
-            RenameBlock::Starved => self.rename.starved += 1,
+            RenameBlock::RobFull => &mut self.rename.rob_full,
+            RenameBlock::QueueFull => &mut self.rename.queue_full,
+            RenameBlock::PrfStall => &mut self.rename.prf_stall,
+            RenameBlock::Starved => &mut self.rename.starved,
         }
+    }
+
+    /// Records `cycles` consecutive quiescent cycles in bulk: cycles in
+    /// which nothing fetched, renamed, issued or committed, attributed
+    /// exactly as stepping them one by one would. Fetch was blocked by a
+    /// redirect (`fetch_redirect`) or else by a full queue, rename by
+    /// `block`; issue found nothing ready with `iq_occupancy` entries
+    /// waiting, a load miss outstanding during the first `wait_mem_cycles`
+    /// of the span.
+    pub fn record_quiescent(
+        &mut self,
+        cycles: u64,
+        fetch_redirect: bool,
+        block: RenameBlock,
+        iq_occupancy: usize,
+        wait_mem_cycles: u64,
+    ) {
+        self.cycles += cycles;
+        if fetch_redirect {
+            self.fetch.redirect += cycles;
+        } else {
+            self.fetch.queue_full += cycles;
+        }
+        *self.rename_stall_class(block) += cycles;
+        if iq_occupancy == 0 {
+            self.issue.empty += cycles;
+        } else {
+            self.issue.wait_mem += wait_mem_cycles;
+            self.issue.no_ready += cycles - wait_mem_cycles;
+        }
+        if self.commit_slots.is_empty() {
+            self.commit_slots.push(0);
+        }
+        self.commit_slots[0] += cycles;
     }
 
     /// Classifies one issue cycle from what the select loop observed:
@@ -386,6 +425,30 @@ mod tests {
             ba.merge(&a);
             assert_eq!(ab, ba, "merge must be commutative");
             assert_eq!(left.validate(a.cycles + b.cycles + c.cycles), Ok(()));
+        }
+    }
+
+    #[test]
+    fn quiescent_spans_match_per_cycle_classification() {
+        for (fetch_redirect, block, iq_occupancy) in
+            [(true, RenameBlock::PrfStall, 3), (false, RenameBlock::Starved, 0)]
+        {
+            let mut bulk = StageAttribution::default();
+            bulk.record_quiescent(5, fetch_redirect, block, iq_occupancy, 2);
+            let mut stepped = StageAttribution::default();
+            for cycle in 0..5 {
+                stepped.cycles += 1;
+                if fetch_redirect {
+                    stepped.fetch.redirect += 1;
+                } else {
+                    stepped.fetch.queue_full += 1;
+                }
+                stepped.classify_rename(0, block);
+                stepped.classify_issue(0, 0, iq_occupancy, cycle < 2);
+                stepped.record_commit(0);
+            }
+            assert_eq!(bulk, stepped);
+            assert_eq!(bulk.validate(5), Ok(()));
         }
     }
 

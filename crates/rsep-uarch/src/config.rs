@@ -16,11 +16,13 @@
 pub enum SchedulerKind {
     /// Event-driven wakeup: instructions enter a ready set exactly when
     /// their last outstanding source is assigned a completion cycle, and
-    /// loads park on the store that blocks them. O(ready) per cycle.
+    /// loads park on the store that blocks them. O(ready) per cycle, and
+    /// cycles in which no stage can act are skipped, not stepped.
     #[default]
     EventDriven,
-    /// The original full-ROB readiness rescan every cycle. O(ROB × sources
-    /// + stores) per cycle; kept as the reference implementation.
+    /// The original full-ROB readiness rescan every cycle, stepping every
+    /// cycle. O(ROB × sources + stores) per cycle; kept as the reference
+    /// implementation.
     Polling,
 }
 

@@ -24,7 +24,7 @@ use crate::rename::RenameMap;
 use crate::rob::{InflightInst, InstSlot, Rob, SrcRegs};
 use crate::sched::{StoreQueue, WakeupQueue};
 use crate::stats::SimStats;
-use rsep_isa::{DynInst, OpClass, PhysReg};
+use rsep_isa::{DynInst, OpClass, PhysReg, RegClass};
 use rsep_predictors::{PredictRequest, PredictorStack, PredictorStats};
 use std::collections::VecDeque;
 
@@ -65,6 +65,17 @@ pub enum SimError {
         /// Name of the speculation engine driving the core.
         engine: String,
     },
+    /// Dispatch needed a fresh physical register and the free list of its
+    /// class was empty (rename only checks for a free register when the
+    /// instruction is certain to need one).
+    RegisterFileExhausted {
+        /// Cycle of the failed allocation.
+        cycle: u64,
+        /// Register class whose free list was empty.
+        class: RegClass,
+        /// Name of the speculation engine driving the core.
+        engine: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -74,6 +85,11 @@ impl std::fmt::Display for SimError {
                 f,
                 "pipeline deadlock: no commit since cycle {last_commit_cycle} \
                  (now {cycle}; rob={rob_len}, iq={iq_len}, engine={engine})"
+            ),
+            SimError::RegisterFileExhausted { cycle, class, engine } => write!(
+                f,
+                "physical register file exhausted: no free {class:?} register \
+                 at dispatch (cycle {cycle}, engine={engine})"
             ),
         }
     }
@@ -89,6 +105,41 @@ struct FetchedInst {
     ready_at: u64,
     /// Whether the front end mispredicted this branch.
     mispredicted: bool,
+}
+
+/// Why the fetch-queue front cannot rename this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RenameStall {
+    /// The fetch queue is empty or its front is not yet through decode.
+    Starved,
+    /// The ROB is full.
+    RobFull,
+    /// The IQ, LQ or SQ is full.
+    QueueFull,
+    /// No free physical register.
+    PrfStall,
+}
+
+impl RenameStall {
+    /// Charges `cycles` cycles of this stall to the stall counters.
+    fn charge(self, stats: &mut SimStats, cycles: u64) {
+        match self {
+            RenameStall::Starved => {}
+            RenameStall::RobFull | RenameStall::QueueFull => stats.queue_stall_cycles += cycles,
+            RenameStall::PrfStall => stats.prf_stall_cycles += cycles,
+        }
+    }
+
+    /// The attribution class of a cycle in which nothing renamed.
+    #[cfg(feature = "obs")]
+    fn attribution_class(self) -> RenameBlock {
+        match self {
+            RenameStall::Starved => RenameBlock::Starved,
+            RenameStall::RobFull => RenameBlock::RobFull,
+            RenameStall::QueueFull => RenameBlock::QueueFull,
+            RenameStall::PrfStall => RenameBlock::PrfStall,
+        }
+    }
 }
 
 /// Rollback mark of one branch of the current fetch block: the fetch-side
@@ -576,12 +627,20 @@ impl<E: SpecEngine> Core<E> {
     /// and the pipeline drains). Returns the number of instructions
     /// actually committed.
     ///
+    /// Under [`SchedulerKind::EventDriven`], cycles in which no stage can
+    /// act are not stepped: the clock jumps to the next event and the
+    /// per-cycle counters are added in bulk (see
+    /// [`Core::skip_quiescent_cycles`]). The results are bit-identical to
+    /// stepping every cycle, which [`SchedulerKind::Polling`] still does.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if the pipeline makes no forward
-    /// progress for a very long time despite watchdog recovery — a wedged
-    /// simulation fails cleanly instead of panicking, so campaign runners
-    /// can record the failed cell and continue.
+    /// progress for a very long time despite watchdog recovery, and
+    /// [`SimError::RegisterFileExhausted`] if dispatch finds no free
+    /// register to allocate — a broken simulation fails cleanly instead of
+    /// panicking, so campaign runners can record the failed cell and
+    /// continue.
     pub fn run(
         &mut self,
         trace: &mut impl Iterator<Item = DynInst>,
@@ -592,7 +651,10 @@ impl<E: SpecEngine> Core<E> {
         self.last_commit_cycle = self.clock;
         self.last_true_commit_cycle = self.clock;
         while self.stats.committed < target {
-            self.step(trace);
+            if self.config.scheduler == SchedulerKind::EventDriven {
+                self.skip_quiescent_cycles();
+            }
+            self.step(trace)?;
             if self.trace_done
                 && self.rob.is_empty()
                 && self.fetch_queue.is_empty()
@@ -631,11 +693,11 @@ impl<E: SpecEngine> Core<E> {
     }
 
     /// Advances the core by one cycle.
-    fn step(&mut self, trace: &mut impl Iterator<Item = DynInst>) {
+    fn step(&mut self, trace: &mut impl Iterator<Item = DynInst>) -> Result<(), SimError> {
         self.resolve_redirect();
         self.commit();
         self.issue();
-        self.rename_dispatch();
+        self.rename_dispatch()?;
         self.fetch(trace);
         self.stats.rob_occupancy_sum += self.rob.len() as u64;
         self.stats.cycles += 1;
@@ -643,6 +705,99 @@ impl<E: SpecEngine> Core<E> {
             self.attribution.cycles += 1;
         }
         self.clock += 1;
+        Ok(())
+    }
+
+    // -------------------------------------------------------- quiescence
+
+    /// When no stage can act in the current cycle, returns the earliest
+    /// cycle at which one might, together with rename's stall (constant
+    /// until then). Returns `None` when some stage can act now.
+    ///
+    /// Under the event-driven scheduler every stage's next action waits on
+    /// one of these events: a calendar wakeup or a validation µ-op coming
+    /// due (issue), the ROB head or the pending-redirect branch completing
+    /// (commit, redirect resolution), the fetch-queue front clearing decode
+    /// (rename), or `fetch_resume_at` (fetch). Rename's structural stalls
+    /// and a full fetch queue only clear when an instruction issues,
+    /// commits or is squashed, which the same events gate. The bound may
+    /// be early (a stale calendar entry, an event that turns out to change
+    /// nothing) but never late; `u64::MAX` means no event is pending.
+    fn quiescent_until(&self) -> Option<(u64, RenameStall)> {
+        let clock = self.clock;
+        if self.sched.ready_len() > 0 {
+            return None;
+        }
+        let mut until = u64::MAX;
+        if let Some(wake_at) = self.sched.next_wake() {
+            if wake_at <= clock {
+                return None;
+            }
+            until = wake_at;
+        }
+        for v in &self.pending_validations {
+            if v.ready_at <= clock {
+                return None;
+            }
+            until = until.min(v.ready_at);
+        }
+        if clock < self.fetch_resume_at {
+            until = until.min(self.fetch_resume_at);
+        } else if self.pending_redirect.is_none()
+            && self.fetch_queue.len() < self.config.fetch_queue_size
+        {
+            return None;
+        }
+        let stall = self.rename_stall()?;
+        if let Some(front) = self.fetch_queue.front() {
+            if front.ready_at > clock {
+                until = until.min(front.ready_at);
+            }
+        }
+        let redirect = self.pending_redirect.and_then(|seq| self.rob.find_by_seq(seq));
+        for entry in self.rob.head().into_iter().chain(redirect) {
+            if entry.is_completed(clock) {
+                return None;
+            }
+            if entry.issued {
+                until = until.min(entry.complete_at);
+            }
+        }
+        Some((until, stall))
+    }
+
+    /// Jumps the clock over the cycles in which no stage can act (see
+    /// [`Core::quiescent_until`]), adding in bulk what stepping them would
+    /// have added: `cycles`, `rob_occupancy_sum`, rename's stall counter
+    /// and, in the `obs` build, one class per stage for every skipped
+    /// cycle. The jump stops one cycle short of the point where the
+    /// watchdog in [`Core::run`] would look, so watchdog flushes and
+    /// deadlock errors happen at exactly the stepped cycles.
+    fn skip_quiescent_cycles(&mut self) {
+        let Some((event, stall)) = self.quiescent_until() else {
+            return;
+        };
+        let until = event.min(self.last_commit_cycle + WATCHDOG_FLUSH_CYCLES - 1);
+        if until <= self.clock {
+            return;
+        }
+        let span = until - self.clock;
+        self.stats.cycles += span;
+        self.stats.rob_occupancy_sum += self.rob.len() as u64 * span;
+        stall.charge(&mut self.stats, span);
+        obs! {
+            let fetch_redirect =
+                self.clock < self.fetch_resume_at || self.pending_redirect.is_some();
+            let wait_mem = self.miss_outstanding_until.clamp(self.clock, until) - self.clock;
+            self.attribution.record_quiescent(
+                span,
+                fetch_redirect,
+                stall.attribution_class(),
+                self.iq_count,
+                wait_mem,
+            );
+        }
+        self.clock = until;
     }
 
     // ------------------------------------------------------------ commit
@@ -1228,68 +1383,22 @@ impl<E: SpecEngine> Core<E> {
 
     // ---------------------------------------------------------- rename
 
-    fn rename_dispatch(&mut self) {
+    fn rename_dispatch(&mut self) -> Result<(), SimError> {
         // Attribution: when nothing renames this cycle, remember why the
         // loop stopped (the default — an empty or not-yet-decoded fetch
         // queue — is frontend starvation).
         #[cfg(feature = "obs")]
-        let mut block = RenameBlock::Starved;
+        let mut block = RenameStall::Starved;
         let mut renamed = 0;
         while renamed < self.config.rename_width {
-            let Some(front) = self.fetch_queue.front() else {
-                break;
-            };
-            if front.ready_at > self.clock {
-                break;
-            }
-            if self.rob.is_full() {
-                self.stats.queue_stall_cycles += 1;
+            if let Some(stall) = self.rename_stall() {
+                stall.charge(&mut self.stats, 1);
                 obs! {
-                    block = RenameBlock::RobFull;
+                    block = stall;
                 }
                 break;
             }
-            let inst = &front.inst;
-            let executes_by_default = !matches!(inst.op, OpClass::Nop);
-            if executes_by_default && self.iq_count >= self.config.iq_size {
-                self.stats.queue_stall_cycles += 1;
-                obs! {
-                    block = RenameBlock::QueueFull;
-                }
-                break;
-            }
-            if inst.op.is_load() && self.lq_count >= self.config.lq_size {
-                self.stats.queue_stall_cycles += 1;
-                obs! {
-                    block = RenameBlock::QueueFull;
-                }
-                break;
-            }
-            if inst.op.is_store() && self.sq_count >= self.config.sq_size {
-                self.stats.queue_stall_cycles += 1;
-                obs! {
-                    block = RenameBlock::QueueFull;
-                }
-                break;
-            }
-            let produces = inst.produces_register();
-            if produces {
-                let class = inst.dest.expect("producer has a destination").class();
-                // Moves and zero idioms never need a fresh register, but any
-                // other producer might (depending on the engine's decision),
-                // so require one free register up front to keep engine calls
-                // side-effect-safe.
-                let needs_possible_alloc = !matches!(inst.op, OpClass::Move | OpClass::ZeroIdiom);
-                if needs_possible_alloc && self.regs.file(class).free_count() == 0 {
-                    self.stats.prf_stall_cycles += 1;
-                    obs! {
-                        block = RenameBlock::PrfStall;
-                    }
-                    break;
-                }
-            }
-
-            let fetched = self.fetch_queue.pop_front().expect("front checked above");
+            let fetched = self.fetch_queue.pop_front().expect("rename_stall checked the front");
             let inst = fetched.inst;
             let action = if inst.produces_register() {
                 let ctx = RenameContext { clock: self.clock, rob: &self.rob };
@@ -1297,15 +1406,62 @@ impl<E: SpecEngine> Core<E> {
             } else {
                 RenameAction::Normal
             };
-            self.dispatch_one(inst, action, fetched.mispredicted);
+            self.dispatch_one(inst, action, fetched.mispredicted)?;
             renamed += 1;
         }
         obs! {
-            self.attribution.classify_rename(renamed as u64, block);
+            self.attribution.classify_rename(renamed as u64, block.attribution_class());
         }
+        Ok(())
     }
 
-    fn dispatch_one(&mut self, inst: DynInst, action: RenameAction, mispredicted: bool) {
+    /// Why the fetch-queue front cannot rename this cycle, or `None` when
+    /// it can.
+    fn rename_stall(&self) -> Option<RenameStall> {
+        let front = match self.fetch_queue.front() {
+            Some(front) if front.ready_at <= self.clock => front,
+            _ => return Some(RenameStall::Starved),
+        };
+        if self.rob.is_full() {
+            return Some(RenameStall::RobFull);
+        }
+        let inst = &front.inst;
+        let executes_by_default = !matches!(inst.op, OpClass::Nop);
+        if (executes_by_default && self.iq_count >= self.config.iq_size)
+            || (inst.op.is_load() && self.lq_count >= self.config.lq_size)
+            || (inst.op.is_store() && self.sq_count >= self.config.sq_size)
+        {
+            return Some(RenameStall::QueueFull);
+        }
+        if inst.produces_register() {
+            let class = inst.dest.expect("producer has a destination").class();
+            // Moves and zero idioms never need a fresh register, but any
+            // other producer might (depending on the engine's decision),
+            // so require one free register up front to keep engine calls
+            // side-effect-safe.
+            let needs_possible_alloc = !matches!(inst.op, OpClass::Move | OpClass::ZeroIdiom);
+            if needs_possible_alloc && self.regs.file(class).free_count() == 0 {
+                return Some(RenameStall::PrfStall);
+            }
+        }
+        None
+    }
+
+    /// Allocates a fresh physical register of `class` for dispatch.
+    fn allocate(&mut self, class: RegClass) -> Result<PhysReg, SimError> {
+        self.regs.allocate(class).ok_or_else(|| SimError::RegisterFileExhausted {
+            cycle: self.clock,
+            class,
+            engine: self.engine.name(),
+        })
+    }
+
+    fn dispatch_one(
+        &mut self,
+        inst: DynInst,
+        action: RenameAction,
+        mispredicted: bool,
+    ) -> Result<(), SimError> {
         let clock = self.clock;
         // Renamed sources (the hardwired zero register is always ready).
         let mut src_pregs: SrcRegs =
@@ -1325,19 +1481,13 @@ impl<E: SpecEngine> Core<E> {
             } else {
                 match action {
                     RenameAction::Normal => {
-                        let preg = self
-                            .regs
-                            .allocate(dest.class())
-                            .expect("free register availability checked before dispatch");
+                        let preg = self.allocate(dest.class())?;
                         prev_preg = Some(self.spec_map.rename(dest, preg));
                         dest_preg = Some(preg);
                         allocated_new_preg = true;
                     }
                     RenameAction::PredictValue { .. } => {
-                        let preg = self
-                            .regs
-                            .allocate(dest.class())
-                            .expect("free register availability checked before dispatch");
+                        let preg = self.allocate(dest.class())?;
                         prev_preg = Some(self.spec_map.rename(dest, preg));
                         dest_preg = Some(preg);
                         allocated_new_preg = true;
@@ -1387,10 +1537,7 @@ impl<E: SpecEngine> Core<E> {
                                 // Provider left the window between the
                                 // engine's decision and dispatch; fall back
                                 // to normal renaming.
-                                let preg = self
-                                    .regs
-                                    .allocate(dest.class())
-                                    .expect("free register availability checked before dispatch");
+                                let preg = self.allocate(dest.class())?;
                                 prev_preg = Some(self.spec_map.rename(dest, preg));
                                 dest_preg = Some(preg);
                                 allocated_new_preg = true;
@@ -1472,6 +1619,7 @@ impl<E: SpecEngine> Core<E> {
             pending_srcs,
             wake_at,
         });
+        Ok(())
     }
 
     // ------------------------------------------------------------- fetch
@@ -1873,7 +2021,7 @@ mod tests {
             let mut trace = insts.into_iter();
             let mut load_issued = false;
             for _ in 0..300 {
-                core.step(&mut trace);
+                core.step(&mut trace).unwrap();
                 if core.rob.find_by_seq(4).is_some_and(|e| e.issued) {
                     load_issued = true;
                     break;
@@ -1903,13 +2051,40 @@ mod tests {
         let insts: Vec<DynInst> = (0..10u64).map(|i| alu(i, 0x40_0000, 1, None, i)).collect();
         let mut trace = insts.into_iter();
         let err = core.run(&mut trace, 10).expect_err("a wedged pipeline must fail");
-        let SimError::Deadlock { cycle, last_commit_cycle, rob_len, iq_len, engine } = &err;
-        assert!(*cycle >= WATCHDOG_DEADLOCK_CYCLES);
+        let SimError::Deadlock { cycle, last_commit_cycle, rob_len, iq_len, engine } = &err else {
+            panic!("expected a deadlock, got: {err}");
+        };
+        // The quiescent-cycle skip stops short of every watchdog check, so
+        // the error fires at exactly the cycle stepping reaches.
+        assert_eq!(*cycle, WATCHDOG_DEADLOCK_CYCLES);
         assert_eq!(*last_commit_cycle, 0);
         assert_eq!(*rob_len, 0);
         assert_eq!(*iq_len, 0);
         assert_eq!(engine, "baseline");
         assert!(err.to_string().contains("pipeline deadlock"), "display: {err}");
+    }
+
+    #[test]
+    fn every_pending_event_bounds_the_quiescent_skip() {
+        // An idle core whose fetch is blocked until cycle 1000 may skip up
+        // to there; each kind of pending event pulls the bound in, and at
+        // the event itself a stage can act.
+        let mut core = Core::baseline(CoreConfig::small_test());
+        core.fetch_resume_at = 1_000;
+        assert_eq!(core.quiescent_until(), Some((1_000, RenameStall::Starved)));
+        core.sched.schedule(700, InstSlot { seq: 0, gen: 0 });
+        assert_eq!(core.quiescent_until(), Some((700, RenameStall::Starved)));
+        core.pending_validations.push(PendingValidation {
+            ready_at: 400,
+            kind: ValidationKind::AnyFu,
+            op: OpClass::IntAlu,
+        });
+        assert_eq!(core.quiescent_until(), Some((400, RenameStall::Starved)));
+        let inst = alu(0, 0x40_0000, 1, None, 0);
+        core.fetch_queue.push_back(FetchedInst { inst, ready_at: 300, mispredicted: false });
+        assert_eq!(core.quiescent_until(), Some((300, RenameStall::Starved)));
+        core.clock = 300;
+        assert_eq!(core.quiescent_until(), None);
     }
 
     #[test]
@@ -1935,7 +2110,17 @@ mod tests {
             .collect();
         let mut trace = insts.into_iter();
         let err = core.run(&mut trace, 50_000).expect_err("the PRF leak must wedge the core");
-        assert!(matches!(err, SimError::Deadlock { .. }), "got: {err}");
+        let expected = SimError::Deadlock {
+            cycle: 100_103,
+            last_commit_cycle: 103,
+            rob_len: 0,
+            iq_len: 0,
+            engine: "hoarder".to_string(),
+        };
+        assert_eq!(err, expected);
+        // The PRF-stalled cycles are skipped, not stepped, yet counted alike.
+        assert_eq!(core.stats().cycles, 100_103);
+        assert_eq!(core.stats().prf_stall_cycles, 100_002);
     }
 
     #[test]

@@ -100,6 +100,12 @@ impl WakeupQueue {
         }
     }
 
+    /// The earliest cycle a calendar entry is due, if any (the entry may be
+    /// stale; the core only uses it as a bound on how far it may skip).
+    pub(crate) fn next_wake(&self) -> Option<u64> {
+        self.calendar.peek().map(|&Reverse((wake_at, _))| wake_at)
+    }
+
     /// Snapshot of the ready set in age order, for tests and debugging —
     /// the select loop walks the set in place via
     /// [`WakeupQueue::ready_get`]/[`WakeupQueue::remove_ready_at`] instead

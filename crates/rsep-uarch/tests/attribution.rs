@@ -6,7 +6,8 @@
 //! traces and check the structural invariant the whole feature rests on:
 //! every cycle is attributed to exactly one class per stage, so each
 //! stage's counters sum to `SimStats::cycles` — on any workload, under
-//! either scheduler, and across `reset_stats`. The
+//! either scheduler, and across `reset_stats` — and that the cycles the
+//! event-driven scheduler skips are attributed exactly as stepped ones. The
 //! property tests check that [`StageAttribution::merge`] is associative
 //! and commutative on arbitrary counter values, which is what lets
 //! checkpoint attributions be merged in any grouping.
@@ -44,6 +45,18 @@ fn stage_counters_sum_to_cycles_on_real_traces() {
             assert!(a.work.insts_issued >= 5_000, "{profile}: {a:?}");
             assert!(a.commit_slots.iter().sum::<u64>() == a.cycles);
         }
+    }
+}
+
+#[test]
+fn skipped_cycles_are_attributed_exactly_as_stepped_ones() {
+    // The event-driven scheduler jumps over cycles in which no stage can
+    // act and attributes them in bulk; polling steps every cycle. Their
+    // attributions must agree counter for counter.
+    for profile in ["gcc", "mcf", "libquantum"] {
+        let skipping = run_attributed(profile, 20_000, SchedulerKind::EventDriven);
+        let stepping = run_attributed(profile, 20_000, SchedulerKind::Polling);
+        assert_eq!(skipping, stepping, "{profile}: attribution diverges");
     }
 }
 
