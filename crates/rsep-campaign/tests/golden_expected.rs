@@ -1,5 +1,6 @@
-//! Golden expected-output guard: the fig4 and fig7 smoke campaigns must
-//! reproduce the digests committed under `tests/expected/`, bit for bit.
+//! Golden expected-output guard: the fig1, fig4 and fig7 smoke campaigns
+//! must reproduce the digests committed under `tests/expected/`, bit for
+//! bit.
 //!
 //! The golden-stats suite proves two *live* configurations agree with each
 //! other; this suite pins the results against a *committed* artifact, which
@@ -10,7 +11,9 @@
 //!
 //! The digest per campaign: the rendered speedup report JSON, then one line
 //! per (benchmark, mechanism) cell with the full `SimStats` debug
-//! rendering and the per-checkpoint IPC bit patterns in hex. To re-bless
+//! rendering and the per-checkpoint IPC bit patterns in hex. Figure 1 has
+//! no core, so its digest is the rendered redundancy report JSON plus the
+//! bit pattern of every (benchmark, category) fraction. To re-bless
 //! after an intended behaviour change:
 //!
 //! ```text
@@ -42,9 +45,23 @@ fn digest(spec: &CampaignSpec) -> String {
     out
 }
 
-fn assert_golden(name: &str, spec: &CampaignSpec) {
+fn redundancy_digest(spec: &CampaignSpec) -> String {
+    let (experiment, _) = Campaign::with_jobs(4).run_redundancy(spec);
+    let mut out = experiment.to_json();
+    out.push('\n');
+    for point in &experiment.points {
+        out.push_str(&format!(
+            "{}/{}: {:016x}\n",
+            point.benchmark,
+            point.series,
+            point.value.to_bits()
+        ));
+    }
+    out
+}
+
+fn assert_golden(name: &str, actual: String) {
     let path = format!("{}/tests/expected/{name}.golden", env!("CARGO_MANIFEST_DIR"));
-    let actual = digest(spec);
     if std::env::var("RSEP_BLESS").is_ok() {
         std::fs::write(&path, &actual).expect("write golden file");
         eprintln!("blessed {path}");
@@ -62,11 +79,16 @@ fn assert_golden(name: &str, spec: &CampaignSpec) {
 }
 
 #[test]
+fn fig1_smoke_matches_committed_golden() {
+    assert_golden("fig1_smoke", redundancy_digest(&presets::fig1().smoke()));
+}
+
+#[test]
 fn fig4_smoke_matches_committed_golden() {
-    assert_golden("fig4_smoke", &presets::fig4().smoke());
+    assert_golden("fig4_smoke", digest(&presets::fig4().smoke()));
 }
 
 #[test]
 fn fig7_smoke_matches_committed_golden() {
-    assert_golden("fig7_smoke", &presets::fig7().smoke());
+    assert_golden("fig7_smoke", digest(&presets::fig7().smoke()));
 }
