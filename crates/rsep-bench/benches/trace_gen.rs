@@ -2,10 +2,14 @@
 //! campaign cell's wall-clock is spent *making* instructions rather than
 //! simulating them?
 //!
-//! Five modes over the same gcc workload as `cycle_loop`:
+//! Six modes over the same gcc workload, checkpoint 0 of seed 42 (the
+//! stream `record_profile` writes), so every simulating mode must report
+//! the same simulated cycles:
 //!
 //! * `trace_gen/generate` — [`TraceGenerator`] iteration alone (the cost
 //!   the simulator pays on top of simulation in a streamed run);
+//! * `trace_gen/analyze` — [`RedundancyAnalyzer`] over the live generator,
+//!   the whole Figure 1 path (generation plus the counted value window);
 //! * `trace_gen/simulate_pregenerated` — the baseline core over a
 //!   pre-collected `Vec<DynInst>` (pure simulation);
 //! * `trace_gen/simulate_streaming` — the baseline core pulling straight
@@ -28,6 +32,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rsep_bench::record::BenchRecord;
+use rsep_core::{checkpoint_seed, RedundancyAnalyzer, RedundancyConfig};
 use rsep_stats::json::Json;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec, TraceGenerator};
 use rsep_tracefile::{record_profile, AnonScheme, TraceFile, RECORD_SLACK};
@@ -38,6 +43,12 @@ const COMMITS: u64 = 30_000;
 /// Same head-room over the commit target as `cycle_loop` uses.
 const INSTS: usize = COMMITS as usize + 4_000;
 const SEED: u64 = 42;
+
+/// Seed of the generated stream: checkpoint 0 of [`SEED`], which is what
+/// `record_profile` records, so live and replayed modes see the same trace.
+fn stream_seed() -> u64 {
+    checkpoint_seed(SEED, 0)
+}
 
 fn profile() -> BenchmarkProfile {
     BenchmarkProfile::by_name("gcc").unwrap()
@@ -54,10 +65,18 @@ fn record_spec() -> CheckpointSpec {
 /// be optimised away.
 fn generate(profile: &BenchmarkProfile) -> u64 {
     let mut acc = 0u64;
-    for inst in TraceGenerator::new(profile, SEED).take(INSTS) {
+    for inst in TraceGenerator::new(profile, stream_seed()).take(INSTS) {
         acc = acc.wrapping_add(inst.pc);
     }
     acc
+}
+
+/// The Figure 1 path: redundancy analysis of the live generated stream.
+/// Returns the number of redundant (zero or already-live) results.
+fn analyze(profile: &BenchmarkProfile) -> u64 {
+    let trace = TraceGenerator::new(profile, stream_seed()).take(INSTS);
+    let report = RedundancyAnalyzer::analyze(RedundancyConfig::default(), trace);
+    report.zero_loads + report.zero_others + report.prf_loads + report.prf_others
 }
 
 /// Pure simulation: the core consumes an already-materialised trace.
@@ -72,7 +91,7 @@ fn simulate_pregenerated(insts: &[rsep_isa::DynInst]) -> u64 {
 /// campaign cells run.
 fn simulate_streaming(profile: &BenchmarkProfile) -> u64 {
     let mut core = Core::baseline(CoreConfig::table1());
-    let mut trace = TraceGenerator::new(profile, SEED).take(INSTS);
+    let mut trace = TraceGenerator::new(profile, stream_seed()).take(INSTS);
     core.run(&mut trace, COMMITS).expect("bench trace cannot wedge");
     core.stats().cycles
 }
@@ -94,16 +113,28 @@ fn replay(file: &TraceFile) -> u64 {
     core.stats().cycles
 }
 
+/// The workload, materialised, and the same workload as a parsed trace
+/// file. Asserts that the pregenerated, streamed and replayed runs
+/// simulate identical cycles — comparing their costs is meaningless
+/// otherwise.
+fn workload(profile: &BenchmarkProfile) -> (Vec<rsep_isa::DynInst>, TraceFile, u64) {
+    let insts: Vec<rsep_isa::DynInst> =
+        TraceGenerator::new(profile, stream_seed()).take(INSTS).collect();
+    let bytes = record_profile(Vec::new(), profile, &record_spec(), SEED, AnonScheme::KeyedBlock)
+        .expect("bench recording cannot fail");
+    let file_bytes = bytes.len() as u64;
+    let file = TraceFile::parse(bytes, "bench".to_string()).expect("bench trace parses");
+    let cycles = simulate_pregenerated(&insts);
+    assert_eq!(cycles, simulate_streaming(profile), "streamed run simulates another workload");
+    assert_eq!(cycles, replay(&file), "replayed run simulates another workload");
+    (insts, file, file_bytes)
+}
+
 fn bench(c: &mut Criterion) {
     let profile = profile();
-    let insts: Vec<rsep_isa::DynInst> = TraceGenerator::new(&profile, SEED).take(INSTS).collect();
-    // The streamed and pregenerated runs must simulate identical cycles —
-    // the comparison is meaningless otherwise.
-    assert_eq!(simulate_pregenerated(&insts), simulate_streaming(&profile));
-    let bytes = record_profile(Vec::new(), &profile, &record_spec(), SEED, AnonScheme::KeyedBlock)
-        .expect("bench recording cannot fail");
-    let file = TraceFile::parse(bytes, "bench".to_string()).expect("bench trace parses");
+    let (insts, file, _) = workload(&profile);
     c.bench_function("trace_gen/generate", |b| b.iter(|| black_box(generate(&profile))));
+    c.bench_function("trace_gen/analyze", |b| b.iter(|| black_box(analyze(&profile))));
     c.bench_function("trace_gen/simulate_pregenerated", |b| {
         b.iter(|| black_box(simulate_pregenerated(&insts)))
     });
@@ -121,7 +152,7 @@ const BENCH_JSON_DEFAULT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BEN
 /// streamed wall-clock, as schema-v2 JSON.
 fn throughput(_c: &mut Criterion) {
     let profile = profile();
-    let insts: Vec<rsep_isa::DynInst> = TraceGenerator::new(&profile, SEED).take(INSTS).collect();
+    let (insts, file, file_bytes) = workload(&profile);
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
 
     let best_of = |label: &str, run: &mut dyn FnMut() -> u64| -> (f64, u64) {
@@ -142,18 +173,13 @@ fn throughput(_c: &mut Criterion) {
         (best, payload)
     };
 
-    let trace_bytes =
-        record_profile(Vec::new(), &profile, &record_spec(), SEED, AnonScheme::KeyedBlock)
-            .expect("bench recording cannot fail");
-    let file_bytes = trace_bytes.len() as u64;
-    let file = TraceFile::parse(trace_bytes, "bench".to_string()).expect("bench trace parses");
-
     let (gen_secs, _) = best_of("generate", &mut || generate(&profile));
+    let (analyze_secs, _) = best_of("analyze", &mut || analyze(&profile));
     let (pregen_secs, cycles) =
         best_of("simulate_pregenerated", &mut || simulate_pregenerated(&insts));
     let (stream_secs, _) = best_of("simulate_streaming", &mut || simulate_streaming(&profile));
     let (record_secs, _) = best_of("record", &mut || record(&profile));
-    let (replay_secs, replay_cycles) = best_of("replay", &mut || replay(&file));
+    let (replay_secs, _) = best_of("replay", &mut || replay(&file));
 
     let share_pct = (gen_secs / stream_secs * 100.0).min(100.0);
     println!("trace_gen/throughput/generation_share       {share_pct:>8.1} % of streamed run");
@@ -175,12 +201,15 @@ fn throughput(_c: &mut Criterion) {
         params: vec![
             ("profile", Json::Str("gcc".to_string())),
             ("config", Json::Str("table1".to_string())),
+            ("seed", Json::Num(SEED as f64)),
+            ("checkpoint", Json::Num(0.0)),
             ("commits", Json::Num(COMMITS as f64)),
             ("insts", Json::Num(INSTS as f64)),
             ("generation_share_pct", Json::Num((share_pct * 10.0).round() / 10.0)),
         ],
         results: vec![
             mode_result("generate", gen_secs, Vec::new()),
+            mode_result("analyze", analyze_secs, Vec::new()),
             mode_result(
                 "simulate_pregenerated",
                 pregen_secs,
@@ -199,14 +228,7 @@ fn throughput(_c: &mut Criterion) {
                     ("mb_per_sec", Json::Num(round2(file_bytes as f64 / record_secs / 1e6))),
                 ],
             ),
-            mode_result(
-                "replay",
-                replay_secs,
-                vec![(
-                    "mcycles_per_sec",
-                    Json::Num(round2(replay_cycles as f64 / replay_secs / 1e6)),
-                )],
-            ),
+            mode_result("replay", replay_secs, vec![("mcycles_per_sec", mcycles(replay_secs))]),
         ],
         attribution: Json::Null,
     };

@@ -7,6 +7,11 @@
 //! register-producing instructions. This analysis only needs the committed
 //! value stream, so it runs directly on a trace without the cycle-level
 //! core.
+//!
+//! "Already present" is a membership test over the last `window` producer
+//! results. The analyzer keeps those results in an age-ordered ring and,
+//! beside it, a counted multiset of the same values (`ValueCounts`), so
+//! the test is one hash probe instead of a scan of the whole window.
 
 use rsep_isa::{DynInst, OpClass};
 use std::collections::VecDeque;
@@ -81,7 +86,8 @@ impl RedundancyReport {
 pub struct RedundancyConfig {
     /// Number of recent register-producing instructions considered "live in
     /// the PRF". The paper resolves this at commit over the in-flight
-    /// window; 192 matches the Table I ROB.
+    /// window; 192 matches the Table I ROB. A window of 0 behaves exactly
+    /// like a window of 1: the previous producer's result is remembered.
     pub window: usize,
 }
 
@@ -94,15 +100,25 @@ impl Default for RedundancyConfig {
 /// Streaming Figure-1 analyzer.
 #[derive(Debug)]
 pub struct RedundancyAnalyzer {
-    config: RedundancyConfig,
+    /// Effective window: `config.window`, but at least 1.
+    window: usize,
+    /// The last `window` producer results, oldest first.
     recent: VecDeque<u64>,
+    /// The values of `recent`, counted.
+    live: ValueCounts,
     report: RedundancyReport,
 }
 
 impl RedundancyAnalyzer {
     /// Creates an analyzer.
     pub fn new(config: RedundancyConfig) -> RedundancyAnalyzer {
-        RedundancyAnalyzer { config, recent: VecDeque::new(), report: RedundancyReport::default() }
+        let window = config.window.max(1);
+        RedundancyAnalyzer {
+            window,
+            recent: VecDeque::with_capacity(window),
+            live: ValueCounts::new(window),
+            report: RedundancyReport::default(),
+        }
     }
 
     /// Feeds one committed instruction.
@@ -118,17 +134,19 @@ impl RedundancyAnalyzer {
             } else {
                 self.report.zero_others += 1;
             }
-        } else if self.recent.contains(&inst.result) {
+        } else if self.live.contains(inst.result) {
             if is_load {
                 self.report.prf_loads += 1;
             } else {
                 self.report.prf_others += 1;
             }
         }
-        if self.recent.len() >= self.config.window {
-            self.recent.pop_front();
+        if self.recent.len() == self.window {
+            let evicted = self.recent.pop_front().expect("a full window is not empty");
+            self.live.remove(evicted);
         }
         self.recent.push_back(inst.result);
+        self.live.insert(inst.result);
     }
 
     /// The report accumulated so far.
@@ -146,6 +164,87 @@ impl RedundancyAnalyzer {
             analyzer.observe(&inst);
         }
         analyzer.report()
+    }
+}
+
+/// A multiset of `u64` values: an open-addressed, linearly probed table
+/// of `(value, count)` slots, where a count of 0 marks an empty slot.
+///
+/// The table holds at most `window` distinct values and is sized to the
+/// next power of two of `4 * window`, so it is never more than a quarter
+/// full and probe runs stay short. Removal uses backward-shift deletion,
+/// so there are no tombstones and lookups never degrade.
+#[derive(Debug)]
+struct ValueCounts {
+    values: Box<[u64]>,
+    counts: Box<[u32]>,
+    /// `64 - log2(slots)`: the home slot is the top bits of a Fibonacci
+    /// hash.
+    shift: u32,
+}
+
+impl ValueCounts {
+    fn new(window: usize) -> ValueCounts {
+        let slots = (4 * window).next_power_of_two();
+        ValueCounts {
+            values: vec![0; slots].into_boxed_slice(),
+            counts: vec![0; slots].into_boxed_slice(),
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    fn home(&self, value: u64) -> usize {
+        (value.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    fn mask(&self) -> usize {
+        self.counts.len() - 1
+    }
+
+    /// Slot holding `value`, or the empty slot ending its probe run.
+    fn find(&self, value: u64) -> usize {
+        let mut slot = self.home(value);
+        while self.counts[slot] != 0 && self.values[slot] != value {
+            slot = (slot + 1) & self.mask();
+        }
+        slot
+    }
+
+    fn contains(&self, value: u64) -> bool {
+        self.counts[self.find(value)] != 0
+    }
+
+    fn insert(&mut self, value: u64) {
+        let slot = self.find(value);
+        self.values[slot] = value;
+        self.counts[slot] += 1;
+    }
+
+    /// Drops one occurrence of `value`, which must be present.
+    fn remove(&mut self, value: u64) {
+        let mut hole = self.find(value);
+        debug_assert!(self.counts[hole] != 0, "removing a value that is not counted");
+        self.counts[hole] -= 1;
+        if self.counts[hole] != 0 {
+            return;
+        }
+        // Backward-shift deletion: pull later entries of the probe run into
+        // the hole unless their home slot lies cyclically after the hole.
+        let mask = self.mask();
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            if self.counts[slot] == 0 {
+                return;
+            }
+            let home = self.home(self.values[slot]);
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.values[hole] = self.values[slot];
+                self.counts[hole] = self.counts[slot];
+                self.counts[slot] = 0;
+                hole = slot;
+            }
+        }
     }
 }
 
@@ -189,6 +288,16 @@ mod tests {
         assert_eq!(report.prf_others, 0);
         let wide = RedundancyAnalyzer::analyze(RedundancyConfig { window: 400 }, trace);
         assert_eq!(wide.prf_others, 1);
+    }
+
+    #[test]
+    fn zero_window_remembers_the_previous_producer() {
+        // Window 0 is kept as a one-entry window: the latest result only.
+        let trace = vec![alu(0, 7), alu(1, 7), alu(2, 8), alu(3, 7)];
+        let zero = RedundancyAnalyzer::analyze(RedundancyConfig { window: 0 }, trace.clone());
+        let one = RedundancyAnalyzer::analyze(RedundancyConfig { window: 1 }, trace);
+        assert_eq!(zero.prf_others, 1);
+        assert_eq!(zero, one);
     }
 
     #[test]

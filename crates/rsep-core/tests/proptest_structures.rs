@@ -1,10 +1,52 @@
 //! Property-based tests on the RSEP hardware structures: the ISRB
-//! reference-counting protocol and the commit FIFO history.
+//! reference-counting protocol and the commit FIFO history, plus the
+//! Figure 1 redundancy analyzer's counted value window.
 
 use proptest::prelude::*;
-use rsep_core::{FifoHistory, FifoHistoryConfig, FifoHistoryStats, Isrb, IsrbConfig, PairMatch};
-use rsep_isa::{FoldHash, PhysReg, RegClass};
+use rsep_core::{
+    FifoHistory, FifoHistoryConfig, FifoHistoryStats, Isrb, IsrbConfig, PairMatch,
+    RedundancyAnalyzer, RedundancyConfig, RedundancyReport,
+};
+use rsep_isa::{ArchReg, DynInst, DynInstBuilder, FoldHash, OpClass, PhysReg, RegClass};
 use std::collections::VecDeque;
+
+/// The scanning Figure 1 analyzer that the counted value window replaced,
+/// kept as its model: membership is a scan of the last `window` producer
+/// results. A zero window keeps the latest result, because the eviction
+/// test runs before the push.
+#[derive(Debug)]
+struct ScanAnalyzer {
+    window: usize,
+    recent: VecDeque<u64>,
+    report: RedundancyReport,
+}
+
+impl ScanAnalyzer {
+    fn observe(&mut self, inst: &DynInst) {
+        self.report.committed += 1;
+        if !inst.produces_register() || inst.op == OpClass::ZeroIdiom {
+            return;
+        }
+        let is_load = inst.op.is_load();
+        if inst.result == 0 {
+            if is_load {
+                self.report.zero_loads += 1;
+            } else {
+                self.report.zero_others += 1;
+            }
+        } else if self.recent.contains(&inst.result) {
+            if is_load {
+                self.report.prf_loads += 1;
+            } else {
+                self.report.prf_others += 1;
+            }
+        }
+        if self.recent.len() >= self.window {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(inst.result);
+    }
+}
 
 /// The linear-scan FIFO history that the hash-chained [`FifoHistory`]
 /// replaced, kept as its model: every search compares the hash of every
@@ -218,6 +260,41 @@ proptest! {
             prop_assert_eq!(fifo.len(), model.entries.len());
         }
         prop_assert_eq!(fifo.stats(), model.stats);
+    }
+
+    /// Redundancy analyzer: the counted value window agrees with the
+    /// scanning model after every committed instruction, for windows 0, 1,
+    /// 2 and 192. Small value alphabets (always including 0) keep values
+    /// repeating inside the window and force repeated counts of one value;
+    /// the 500-value alphabet makes values leave the window before they
+    /// recur. Loads, ALU ops, zero idioms, stores and zero-register
+    /// destinations cover every classification path.
+    #[test]
+    fn redundancy_window_matches_the_scan_model(
+        shape in (0usize..4, 0usize..3),
+        insts in proptest::collection::vec((0u8..6, 0u64..500), 1..1200),
+    ) {
+        let window = [0, 1, 2, 192][shape.0];
+        let alphabet = [2, 7, 500][shape.1];
+        let mut analyzer = RedundancyAnalyzer::new(RedundancyConfig { window });
+        let mut model = ScanAnalyzer { window, recent: VecDeque::new(), report: RedundancyReport::default() };
+        for (seq, &(kind, raw)) in insts.iter().enumerate() {
+            let seq = seq as u64;
+            let result = raw % alphabet;
+            let inst = match kind {
+                0 => DynInst::simple(seq, 0x40_0000, OpClass::Load, ArchReg::int(2), result),
+                1 | 2 => DynInst::simple(seq, 0x40_0004, OpClass::IntAlu, ArchReg::int(3), result),
+                3 => DynInst::simple(seq, 0x40_0008, OpClass::ZeroIdiom, ArchReg::int(4), 0),
+                4 => DynInstBuilder::new(seq, 0x40_000c, OpClass::Store)
+                    .mem(0x1000, 8)
+                    .result(result)
+                    .build(),
+                _ => DynInst::simple(seq, 0x40_0010, OpClass::IntAlu, ArchReg::ZERO, result),
+            };
+            analyzer.observe(&inst);
+            model.observe(&inst);
+            prop_assert_eq!(analyzer.report(), model.report);
+        }
     }
 }
 

@@ -146,8 +146,9 @@ impl fmt::Display for DynInst {
     }
 }
 
-/// Builder for [`DynInst`], used by the trace generator and by tests that
-/// need full control over every field.
+/// Builder for [`DynInst`], used by tests that need full control over
+/// every field. (The trace generator builds its instructions in place:
+/// each builder call moves the whole instruction.)
 #[derive(Debug, Clone)]
 pub struct DynInstBuilder {
     inst: DynInst,

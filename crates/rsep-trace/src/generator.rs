@@ -10,7 +10,7 @@ use crate::profile::BenchmarkProfile;
 use crate::program::{StaticInst, StaticProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rsep_isa::{DynInst, DynInstBuilder, OpClass};
+use rsep_isa::{BranchInfo, DynInst, MemInfo, OpClass, MAX_SOURCES};
 
 /// Generates the dynamic instruction stream of a synthetic benchmark.
 ///
@@ -88,57 +88,68 @@ impl TraceGenerator {
         }
     }
 
+    /// Builds the dynamic instance of the static instruction at `index` in
+    /// place. The RNG is drawn in a fixed order — copy-source pick, result
+    /// value, address, store value, branch outcome — which is part of the
+    /// stream's definition.
     fn emit(&mut self, index: usize) -> DynInst {
         let inst: &StaticInst = &self.program.insts[index];
         let seq = self.seq;
         self.seq += 1;
-        let mut b = DynInstBuilder::new(seq, inst.pc, inst.op);
-        for &s in inst.srcs.iter().take(rsep_isa::inst::MAX_SOURCES) {
-            b = b.src(s);
+        let mut srcs = [None; MAX_SOURCES];
+        for (slot, &src) in srcs.iter_mut().zip(&inst.srcs) {
+            *slot = Some(src);
         }
         // Resolve the copy source value (most recent result of one of the
         // designated source instructions).
-        let copy_value = if inst.copy_sources.is_empty() {
-            None
-        } else {
-            let pick = if inst.copy_sources.len() == 1 {
-                inst.copy_sources[0]
-            } else {
-                inst.copy_sources[self.rng.gen_range(0..inst.copy_sources.len())]
-            };
-            Some(self.last_results[pick])
+        let copy_value = match inst.copy_sources.as_slice() {
+            [] => None,
+            [only] => Some(self.last_results[*only]),
+            many => Some(self.last_results[many[self.rng.gen_range(0..many.len())]]),
         };
         // Result value.
-        if let (Some(dest), Some(value_behavior)) = (inst.dest, inst.value.as_ref()) {
-            let result =
-                value_behavior.next_value(&mut self.value_states[index], copy_value, &mut self.rng);
-            self.last_results[index] = result;
-            b = b.dest(dest).result(result);
-        }
-        // Memory address.
-        if let Some(mem) = inst.mem.as_ref() {
-            let dep_value = inst
-                .copy_sources
-                .first()
-                .map(|&s| self.last_results[s])
-                .unwrap_or(self.last_results[index]);
-            let addr =
-                mem.next_addr(&mut self.mem_states[index], inst.mem_base, dep_value, &mut self.rng);
-            let size = 8;
-            b = b.mem(addr, size);
-            if inst.op == OpClass::Store {
-                // The stored value is the most recent value of the first
-                // source's producer when known, otherwise pseudo-random.
-                b = b.result(copy_value.unwrap_or_else(|| self.rng.gen()));
+        let (dest, mut result) = match (inst.dest, inst.value.as_ref()) {
+            (Some(dest), Some(value_behavior)) => {
+                let result = value_behavior.next_value(
+                    &mut self.value_states[index],
+                    copy_value,
+                    &mut self.rng,
+                );
+                self.last_results[index] = result;
+                (Some(dest), result)
             }
-        }
+            _ => (None, 0),
+        };
+        // Memory address.
+        let mem = match inst.mem.as_ref() {
+            Some(mem) => {
+                let dep_value = inst
+                    .copy_sources
+                    .first()
+                    .map(|&s| self.last_results[s])
+                    .unwrap_or(self.last_results[index]);
+                let addr = mem.next_addr(
+                    &mut self.mem_states[index],
+                    inst.mem_base,
+                    dep_value,
+                    &mut self.rng,
+                );
+                if inst.op == OpClass::Store {
+                    // The stored value is the most recent value of the first
+                    // source's producer when known, otherwise pseudo-random.
+                    result = copy_value.unwrap_or_else(|| self.rng.gen());
+                }
+                Some(MemInfo { addr, size: 8 })
+            }
+            None => None,
+        };
         // Branch outcome.
-        if let Some((kind, behavior)) = inst.branch.as_ref() {
-            let taken = behavior.next_outcome(&mut self.branch_states[index], &mut self.rng);
-            b = b.branch(*kind, taken, inst.branch_target);
-            return b.build();
-        }
-        b.build()
+        let branch = inst.branch.as_ref().map(|(kind, behavior)| BranchInfo {
+            kind: *kind,
+            taken: behavior.next_outcome(&mut self.branch_states[index], &mut self.rng),
+            target: inst.branch_target,
+        });
+        DynInst { seq, pc: inst.pc, op: inst.op, srcs, dest, result, mem, branch }
     }
 
     /// Advances the program position after emitting the instruction at

@@ -9,11 +9,13 @@
 //! # Storage layout and batching
 //!
 //! Cache arrays are struct-of-arrays: one flat tag array and one packed
-//! `valid|LRU` word array per level, indexed `set * assoc + way`, so the
-//! way-scan of the hot L1 lookup walks two contiguous cache lines of
-//! simulator memory instead of chasing pointer-nested sets. (The original
-//! `Vec<Vec<Line>>` layout was retained for one PR as
-//! `CacheLayout::Nested` and retired after the PR 4 equivalence proofs.)
+//! `valid|LRU` word array per level, indexed `set * assoc + way`. An
+//! invalid way holds a sentinel tag that no address produces, so a hit
+//! test reads only the tag array. A demand miss picks its LRU victim from
+//! the metadata words once and hands it to the fill that follows, so the
+//! set is not scanned again. (The original `Vec<Vec<Line>>` layout was
+//! retained for one PR as `CacheLayout::Nested` and retired after the PR 4
+//! equivalence proofs.)
 //!
 //! The hierarchy also exposes a batched entry point,
 //! [`CacheHierarchy::access_batch`], which the core calls once per cycle
@@ -30,11 +32,16 @@ use crate::config::CoreConfig;
 /// timestamp. Simulated cycle counts stay far below 2^63.
 const VALID: u64 = 1 << 63;
 
+/// Tag of an invalid way. A tag is a line address shifted right by the set
+/// bits, so it stays below `2^58` (lines are at least 64 bytes) and never
+/// equals the sentinel.
+const INVALID_TAG: u64 = u64::MAX;
+
 /// A set-associative cache with LRU replacement.
 #[derive(Debug)]
 pub struct Cache {
     name: &'static str,
-    /// Flat tags, `set * assoc + way`.
+    /// Flat tags, `set * assoc + way`; [`INVALID_TAG`] in invalid ways.
     tags: Box<[u64]>,
     /// Packed valid/LRU words, same indexing.
     meta: Box<[u64]>,
@@ -44,6 +51,15 @@ pub struct Cache {
     tag_shift: u32,
     latency: u64,
     stats: CacheStats,
+}
+
+/// Where a line that a lookup proved absent will be filled: its tag and
+/// the flat index of the set's LRU way. Valid until the next update to the
+/// same cache.
+#[derive(Debug, Clone, Copy)]
+struct Victim {
+    index: usize,
+    tag: u64,
 }
 
 /// Hit/miss statistics of a cache.
@@ -92,7 +108,7 @@ impl Cache {
         let set_mask = num_sets as u64 - 1;
         Cache {
             name,
-            tags: vec![0; num_sets * assoc].into_boxed_slice(),
+            tags: vec![INVALID_TAG; num_sets * assoc].into_boxed_slice(),
             meta: vec![0; num_sets * assoc].into_boxed_slice(),
             assoc,
             line_shift: line_bytes.trailing_zeros(),
@@ -118,90 +134,95 @@ impl Cache {
         self.stats
     }
 
+    /// Flat index of the first way of `addr`'s set, and `addr`'s tag.
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        ((line & self.set_mask) as usize, line >> self.tag_shift)
+        ((line & self.set_mask) as usize * self.assoc, line >> self.tag_shift)
+    }
+
+    /// Flat index of the way holding `tag` in the set at `base`.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        self.tags[base..base + self.assoc].iter().position(|&t| t == tag).map(|w| base + w)
+    }
+
+    /// The way a fill of `tag` into the set at `base` takes: the one with
+    /// the smallest packed word. Every invalid way (no VALID bit) sorts
+    /// below every valid one, among valid ways the smallest LRU stamp
+    /// wins, and ties keep the first way.
+    fn victim(&self, base: usize, tag: u64) -> Victim {
+        let meta = &self.meta[base..base + self.assoc];
+        let (mut way, mut oldest) = (0, meta[0]);
+        for (w, &word) in meta.iter().enumerate().skip(1) {
+            way = if word < oldest { w } else { way };
+            oldest = oldest.min(word);
+        }
+        Victim { index: base + way, tag }
+    }
+
+    /// Demand lookup of `addr`: a hit refreshes the line's LRU stamp and
+    /// returns `None`; a miss returns the way to fill the line into.
+    fn demand(&mut self, addr: u64, now: u64) -> Option<Victim> {
+        debug_assert!(now < VALID, "cycle count overflows the packed LRU word");
+        self.stats.accesses += 1;
+        let (base, tag) = self.set_and_tag(addr);
+        match self.find(base, tag) {
+            Some(hit) => {
+                self.meta[hit] = VALID | now;
+                None
+            }
+            None => {
+                self.stats.misses += 1;
+                Some(self.victim(base, tag))
+            }
+        }
+    }
+
+    /// Like [`Cache::probe`], but returns the way to fill an absent line
+    /// into (`None` when the line is present).
+    fn absent(&self, addr: u64) -> Option<Victim> {
+        let (base, tag) = self.set_and_tag(addr);
+        match self.find(base, tag) {
+            Some(_) => None,
+            None => Some(self.victim(base, tag)),
+        }
+    }
+
+    /// Installs a line proven absent by [`Cache::demand`] or
+    /// [`Cache::absent`], with no update to this cache in between.
+    fn fill_victim(&mut self, victim: Victim, now: u64, is_prefetch: bool) {
+        debug_assert!(now < VALID, "cycle count overflows the packed LRU word");
+        if is_prefetch {
+            self.stats.prefetch_fills += 1;
+        }
+        self.tags[victim.index] = victim.tag;
+        self.meta[victim.index] = VALID | now;
     }
 
     /// Looks up `addr`; returns `true` on hit and updates LRU. `now` is the
     /// current cycle, used as the LRU timestamp.
     pub fn access(&mut self, addr: u64, now: u64) -> bool {
-        debug_assert!(now < VALID, "cycle count overflows the packed LRU word");
-        self.stats.accesses += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.assoc;
-        let tags = &self.tags[base..base + self.assoc];
-        let meta = &mut self.meta[base..base + self.assoc];
-        let hit = match (0..tags.len()).find(|&w| meta[w] >= VALID && tags[w] == tag) {
-            Some(w) => {
-                meta[w] = VALID | now;
-                true
-            }
-            None => false,
-        };
-        if !hit {
-            self.stats.misses += 1;
-        }
-        hit
+        self.demand(addr, now).is_none()
     }
 
     /// Checks for a hit without updating statistics or LRU state.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.assoc;
-        (base..base + self.assoc).any(|i| self.meta[i] >= VALID && self.tags[i] == tag)
+        let (base, tag) = self.set_and_tag(addr);
+        self.find(base, tag).is_some()
     }
 
-    /// Fills the line containing `addr`, evicting the LRU way.
+    /// Fills the line containing `addr`, evicting the LRU way. A fill of a
+    /// line that is already present only refreshes its LRU stamp.
     pub fn fill(&mut self, addr: u64, now: u64, is_prefetch: bool) {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        // A fill of a line that is already present only refreshes its LRU
-        // stamp.
-        let base = set_idx * self.assoc;
-        let tags = &self.tags[base..base + self.assoc];
-        let meta = &mut self.meta[base..base + self.assoc];
-        let present = match (0..tags.len()).find(|&w| meta[w] >= VALID && tags[w] == tag) {
-            Some(w) => {
-                meta[w] = VALID | now;
-                true
+        let (base, tag) = self.set_and_tag(addr);
+        match self.find(base, tag) {
+            Some(present) => {
+                self.meta[present] = VALID | now;
+                if is_prefetch {
+                    self.stats.prefetch_fills += 1;
+                }
             }
-            None => false,
-        };
-        if present {
-            if is_prefetch {
-                self.stats.prefetch_fills += 1;
-            }
-            return;
+            None => self.fill_victim(self.victim(base, tag), now, is_prefetch),
         }
-        self.fill_absent(addr, now, is_prefetch);
-    }
-
-    /// Fills the line containing `addr`, which the caller has just proven
-    /// absent (a miss or failed probe with no intervening fill to this
-    /// cache). Skips the present-line rescan that [`Cache::fill`] performs
-    /// — on the miss path of the hierarchy walk every fill follows such a
-    /// proof, and the rescan would double the way-scan work per miss.
-    fn fill_absent(&mut self, addr: u64, now: u64, is_prefetch: bool) {
-        debug_assert!(now < VALID, "cycle count overflows the packed LRU word");
-        debug_assert!(!self.probe(addr), "fill_absent caller must have proven a miss");
-        if is_prefetch {
-            self.stats.prefetch_fills += 1;
-        }
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.assoc;
-        let tags = &mut self.tags[base..base + self.assoc];
-        let meta = &mut self.meta[base..base + self.assoc];
-        // Victim: the way with the smallest packed word — every invalid way
-        // (no VALID bit) sorts below every valid one, and among valid ways
-        // the smallest LRU wins; ties keep the first way.
-        let mut victim = 0;
-        for w in 1..meta.len() {
-            if meta[w] < meta[victim] {
-                victim = w;
-            }
-        }
-        tags[victim] = tag;
-        meta[victim] = VALID | now;
     }
 }
 
@@ -400,57 +421,52 @@ impl CacheHierarchy {
 
     /// Performs an instruction fetch access and returns its latency.
     pub fn access_inst(&mut self, addr: u64, now: u64) -> u64 {
-        if self.l1i.access(addr, now) {
+        let Some(l1i_victim) = self.l1i.demand(addr, now) else {
             return self.l1i.latency();
-        }
+        };
         // Instruction miss: walk L2/L3/DRAM.
-        let mut latency = self.l1i.latency();
-        if self.l2.access(addr, now) {
-            latency += self.l2.latency();
-        } else if self.l3.access(addr, now) {
-            latency += self.l2.latency() + self.l3.latency();
-            self.l2.fill_absent(addr, now, false);
-        } else {
-            latency += self.l2.latency() + self.l3.latency() + self.dram_latency;
-            self.l3.fill_absent(addr, now, false);
-            self.l2.fill_absent(addr, now, false);
-        }
-        self.l1i.fill_absent(addr, now, false);
+        let latency = self.l1i.latency() + self.walk_l2(addr, now, false);
+        self.l1i.fill_victim(l1i_victim, now, false);
         latency
     }
 
     fn lookup_and_fill(&mut self, addr: u64, now: u64, is_prefetch: bool) -> u64 {
-        if self.l1d.access(addr, now) {
+        let Some(l1d_victim) = self.l1d.demand(addr, now) else {
             return self.l1d.latency();
+        };
+        let latency = self.l1d.latency() + self.walk_l2(addr, now, is_prefetch);
+        self.l1d.fill_victim(l1d_victim, now, is_prefetch);
+        latency
+    }
+
+    /// Serves an L1 miss from the L2, L3 or DRAM, filling the levels that
+    /// missed, and returns the latency beyond the L1's.
+    fn walk_l2(&mut self, addr: u64, now: u64, is_prefetch: bool) -> u64 {
+        let Some(l2_victim) = self.l2.demand(addr, now) else {
+            return self.l2.latency();
+        };
+        let mut latency = self.l2.latency() + self.l3.latency();
+        if let Some(l3_victim) = self.l3.demand(addr, now) {
+            latency += self.dram_latency;
+            self.l3.fill_victim(l3_victim, now, is_prefetch);
         }
-        let mut latency = self.l1d.latency();
-        if self.l2.access(addr, now) {
-            latency += self.l2.latency();
-        } else if self.l3.access(addr, now) {
-            latency += self.l2.latency() + self.l3.latency();
-            self.l2.fill_absent(addr, now, is_prefetch);
-        } else {
-            latency += self.l2.latency() + self.l3.latency() + self.dram_latency;
-            self.l3.fill_absent(addr, now, is_prefetch);
-            self.l2.fill_absent(addr, now, is_prefetch);
-        }
-        self.l1d.fill_absent(addr, now, is_prefetch);
+        self.l2.fill_victim(l2_victim, now, is_prefetch);
         latency
     }
 
     fn prefetch(&mut self, addr: u64, now: u64) {
         // Prefetches install lines without being charged as demand accesses
         // (and without a latency cost to the requesting instruction).
-        if self.l1d.probe(addr) {
+        let Some(l1d_victim) = self.l1d.absent(addr) else {
             return;
+        };
+        if let Some(victim) = self.l3.absent(addr) {
+            self.l3.fill_victim(victim, now, true);
         }
-        if !self.l3.probe(addr) {
-            self.l3.fill_absent(addr, now, true);
+        if let Some(victim) = self.l2.absent(addr) {
+            self.l2.fill_victim(victim, now, true);
         }
-        if !self.l2.probe(addr) {
-            self.l2.fill_absent(addr, now, true);
-        }
-        self.l1d.fill_absent(addr, now, true);
+        self.l1d.fill_victim(l1d_victim, now, true);
     }
 
     /// Statistics of the four caches (L1I, L1D, L2, L3).

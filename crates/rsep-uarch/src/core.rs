@@ -464,7 +464,7 @@ impl<E: SpecEngine> Core<E> {
             panic!("invalid core configuration: {problem}");
         }
         let mut regs = RegisterFiles::new(config.int_prf_size, config.fp_prf_size);
-        let spec_map = RenameMap::initial();
+        let spec_map = RenameMap::initial(config.int_prf_size, config.fp_prf_size);
         // Reserve the physical registers backing the initial architectural
         // state so they never enter the free list.
         for (_, preg) in spec_map.iter() {

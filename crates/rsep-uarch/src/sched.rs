@@ -10,10 +10,10 @@
 //!   ready set. An instruction is inserted exactly once, when its last
 //!   outstanding source register is assigned a completion cycle (wakeup on
 //!   writeback); the per-cycle select then iterates only the ready set.
-//! * [`StoreQueue`] — the in-flight stores, age-ordered and indexed by
-//!   double-word address, so load disambiguation and store-to-load
-//!   forwarding resolve the *youngest older* same-address store in
-//!   O(log n) instead of scanning every in-flight store.
+//! * [`StoreQueue`] — the in-flight stores in age order, so load
+//!   disambiguation and store-to-load forwarding find the *youngest older*
+//!   same-address store by scanning back from the load's position; the
+//!   queue holds at most `sq_size` (48 in Table I) stores.
 //!
 //! Entries are generation-tagged [`InstSlot`] handles: squash removes ROB
 //! entries but leaves scheduler entries behind, and replayed instructions
@@ -28,8 +28,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A fast, deterministic hasher for the `u64`-keyed maps below (dword
-/// buckets and store waiter lists, hit several times per simulated load).
+/// A fast, deterministic hasher for the `u64`-keyed map below (store
+/// waiter lists, hit on every store issue).
 /// The default SipHash is measurably slower and its DoS resistance buys
 /// nothing against simulator-internal keys. Fibonacci multiply + rotate
 /// mixes the low-entropy dword/sequence keys well enough for a `HashMap`.
@@ -162,16 +162,13 @@ pub struct StoreRecord {
     pub complete_at: u64,
 }
 
-/// Age-ordered in-flight store queue indexed by double-word address.
+/// Age-ordered in-flight store queue.
 #[derive(Debug, Default)]
 pub struct StoreQueue {
     /// All in-flight stores in dispatch (= ascending sequence) order.
     /// Stores enter at the tail, commit from the head and squash off the
     /// tail, so the ring stays sorted and lookup is a binary search.
     records: VecDeque<StoreRecord>,
-    /// Per-dword index: sequence numbers of in-flight stores to that
-    /// double-word, in ascending (age) order.
-    by_dword: U64Map<Vec<u64>>,
     /// Loads parked until a specific store issues, keyed by the store's
     /// sequence number.
     waiters: U64Map<Vec<InstSlot>>,
@@ -201,24 +198,19 @@ impl StoreQueue {
     /// Admits a newly dispatched store. Dispatch is in program order, so
     /// `seq` is strictly larger than every live entry.
     pub fn push(&mut self, seq: u64, dword: u64) {
-        let bucket = self.by_dword.entry(dword).or_default();
-        debug_assert!(bucket.last().is_none_or(|&s| s < seq), "stores dispatch in age order");
-        debug_assert!(self.records.back().is_none_or(|r| r.seq < seq));
-        bucket.push(seq);
+        debug_assert!(
+            self.records.back().is_none_or(|r| r.seq < seq),
+            "stores dispatch in age order"
+        );
         self.records.push_back(StoreRecord { seq, dword, issued: false, complete_at: u64::MAX });
     }
 
     /// The youngest in-flight store to `dword` that is older than
     /// `before_seq` — the store a load at `before_seq` would read from.
-    /// Binary search over the per-dword index: O(log stores-to-dword).
+    /// Scans the older stores youngest first.
     pub fn youngest_older(&self, dword: u64, before_seq: u64) -> Option<StoreRecord> {
-        if self.records.is_empty() {
-            return None;
-        }
-        let bucket = self.by_dword.get(&dword)?;
-        let n_older = bucket.partition_point(|&s| s < before_seq);
-        let seq = *bucket.get(n_older.checked_sub(1)?)?;
-        self.records.get(self.position(seq)?).copied()
+        let n_older = self.records.partition_point(|r| r.seq < before_seq);
+        self.records.range(..n_older).rev().find(|r| r.dword == dword).copied()
     }
 
     /// Parks a load until the store `store_seq` issues.
@@ -248,15 +240,7 @@ impl StoreQueue {
         let Some(pos) = self.position(seq) else {
             return;
         };
-        let record = self.records.remove(pos).expect("position is in range");
-        if let Some(bucket) = self.by_dword.get_mut(&record.dword) {
-            if let Ok(bucket_pos) = bucket.binary_search(&seq) {
-                bucket.remove(bucket_pos);
-            }
-            if bucket.is_empty() {
-                self.by_dword.remove(&record.dword);
-            }
-        }
+        self.records.remove(pos);
         self.waiters.remove(&seq);
     }
 
@@ -264,15 +248,8 @@ impl StoreQueue {
     /// proportional to the number of squashed stores, not the queue size.
     pub fn squash_from(&mut self, from_seq: u64) {
         let keep = self.records.partition_point(|r| r.seq < from_seq);
-        let StoreQueue { records, by_dword, waiters } = self;
-        for record in records.drain(keep..) {
-            if let Some(bucket) = by_dword.get_mut(&record.dword) {
-                bucket.truncate(bucket.partition_point(|&s| s < from_seq));
-                if bucket.is_empty() {
-                    by_dword.remove(&record.dword);
-                }
-            }
-            waiters.remove(&record.seq);
+        for record in self.records.drain(keep..) {
+            self.waiters.remove(&record.seq);
         }
     }
 }
