@@ -181,10 +181,7 @@ impl Cache {
     /// into (`None` when the line is present).
     fn absent(&self, addr: u64) -> Option<Victim> {
         let (base, tag) = self.set_and_tag(addr);
-        match self.find(base, tag) {
-            Some(_) => None,
-            None => Some(self.victim(base, tag)),
-        }
+        self.find(base, tag).is_none().then(|| self.victim(base, tag))
     }
 
     /// Installs a line proven absent by [`Cache::demand`] or
