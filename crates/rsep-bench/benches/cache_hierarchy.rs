@@ -1,15 +1,14 @@
-//! Criterion bench: the cache hierarchy under both entry points.
+//! Bench: the cache hierarchy under both entry points.
 //!
 //! `cache_hierarchy/{path}` compares the batched `access_batch` entry
 //! point against one `access_data`/`access_inst` call per request — the
 //! measurement behind the cache half of the flat in-flight core refactor.
-//! (The legacy nested `Vec<Vec<Line>>` layout this bench also used to
-//! measure was retired with the PR 4 equivalence proofs in; the
-//! struct-of-arrays layout is now the only one.)
+//! Every timed run of either path must report the same total latency, so
+//! the bench doubles as a coarse equivalence check.
 
 #![forbid(unsafe_code)]
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use rsep_bench::record::timed;
 use rsep_uarch::{AccessKind, CacheHierarchy, CoreConfig, MemRequest};
 
 /// Cycles of a synthetic workload: a handful of loads/stores/ifetches per
@@ -84,19 +83,27 @@ fn run_per_access(schedule: &Schedule) -> u64 {
     total
 }
 
-fn bench(c: &mut Criterion) {
-    let mut schedule = request_schedule();
-    // Both entry points must agree on total latency — the bench doubles as
-    // a coarse equivalence check.
-    let reference = run_batched(&mut schedule);
-    assert_eq!(reference, run_per_access(&schedule));
-    c.bench_function("cache_hierarchy/batched", |b| {
-        b.iter(|| black_box(run_batched(&mut schedule)))
-    });
-    c.bench_function("cache_hierarchy/per_access", |b| {
-        b.iter(|| black_box(run_per_access(&schedule)))
-    });
-}
+/// Timed runs per path.
+const RUNS: usize = 3;
 
-criterion_group!(benches, bench);
-criterion_main!(benches);
+/// One benched path: label + the function driving the whole schedule.
+type BenchPath = (&'static str, fn(&mut Schedule) -> u64);
+
+/// Prints the best-of-[`RUNS`] wall-clock of each entry point, asserting
+/// on every run that it reports the reference total latency.
+fn main() {
+    let mut schedule = request_schedule();
+    // Untimed warm-up, which also fixes the reference total latency.
+    let reference = run_batched(&mut schedule);
+    let paths: [BenchPath; 2] =
+        [("batched", run_batched), ("per_access", |schedule| run_per_access(schedule))];
+    for (label, run) in paths {
+        let mut best = f64::MAX;
+        for _ in 0..RUNS {
+            let (secs, total) = timed(|| run(&mut schedule));
+            assert_eq!(total, reference, "{label} disagrees with batched on total latency");
+            best = best.min(secs);
+        }
+        println!("cache_hierarchy/{label:<12} {:>8.3} ms/run", best * 1e3);
+    }
+}

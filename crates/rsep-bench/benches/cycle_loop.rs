@@ -1,24 +1,21 @@
-//! Criterion bench: the core's cycle loop under both scheduler
-//! implementations.
+//! Bench: the core's cycle loop under both scheduler implementations.
 //!
-//! `cycle_loop/event_driven` vs `cycle_loop/polling` is the headline
-//! comparison for the event-driven wakeup/select rewrite: same simulated
-//! behaviour (enforced by the golden-stats and property tests), different
-//! simulator throughput. The final `throughput` entries print simulated
-//! cycles and instructions per wall-clock second, which the CI quick-bench
-//! job surfaces so perf regressions are visible in PR logs — and write the
-//! same numbers as machine-readable JSON to `BENCH_cycle_loop.json` at the
-//! workspace root (override the path with `RSEP_BENCH_JSON`), so the bench
-//! trajectory can be tracked across PRs instead of living only in logs.
+//! `event_driven` vs `polling` is the headline comparison for the
+//! event-driven wakeup/select rewrite: same simulated behaviour (enforced
+//! by the golden-stats and property tests), different simulator
+//! throughput. The bench prints simulated cycles and instructions per
+//! wall-clock second, which the CI quick-bench job surfaces so perf
+//! regressions are visible in PR logs, and writes the same numbers as
+//! machine-readable JSON to `BENCH_cycle_loop.json` at the workspace root
+//! (override the path with `RSEP_BENCH_JSON`), so the bench trajectory can
+//! be tracked across PRs instead of living only in logs.
 
 #![forbid(unsafe_code)]
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rsep_bench::record::BenchRecord;
+use rsep_bench::record::{timed, BenchRecord};
 use rsep_stats::json::Json;
 use rsep_trace::{BenchmarkProfile, TraceGenerator};
 use rsep_uarch::{Core, CoreConfig, SchedulerKind};
-use std::time::Instant;
 
 const COMMITS: u64 = 30_000;
 
@@ -36,16 +33,6 @@ fn run_once(insts: &[rsep_isa::DynInst], scheduler: SchedulerKind) -> (u64, u64)
     (core.stats().cycles, committed)
 }
 
-fn bench(c: &mut Criterion) {
-    let insts = trace_insts();
-    for (id, scheduler) in [
-        ("cycle_loop/event_driven", SchedulerKind::EventDriven),
-        ("cycle_loop/polling", SchedulerKind::Polling),
-    ] {
-        c.bench_function(id, |b| b.iter(|| black_box(run_once(&insts, scheduler))));
-    }
-}
-
 /// Default output path of the machine-readable throughput record: the
 /// workspace root, next to `ROADMAP.md` (the bench runs with the package
 /// directory as its working directory, so a relative path would land in
@@ -58,7 +45,7 @@ const BENCH_JSON_DEFAULT: &str =
 /// and records it as schema-v2 JSON (`BENCH_cycle_loop.json`): host
 /// metadata, max-RSS, and (in `obs` builds) the per-stage cycle
 /// attribution of an instrumented run.
-fn throughput(_c: &mut Criterion) {
+fn main() {
     let insts = trace_insts();
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
     let mut results = Vec::new();
@@ -70,10 +57,7 @@ fn throughput(_c: &mut Criterion) {
         let mut best = f64::MAX;
         let mut cycles = 0;
         for _ in 0..3 {
-            // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
-            let start = Instant::now();
-            let (c, committed) = run_once(&insts, scheduler);
-            let secs = start.elapsed().as_secs_f64();
+            let (secs, (c, committed)) = timed(|| run_once(&insts, scheduler));
             // The final commit group may overshoot the target slightly.
             assert!(committed >= COMMITS);
             cycles = c;
@@ -123,6 +107,3 @@ fn measured_attribution(insts: &[rsep_isa::DynInst]) -> Json {
 fn measured_attribution(_insts: &[rsep_isa::DynInst]) -> Json {
     Json::Null
 }
-
-criterion_group!(benches, bench, throughput);
-criterion_main!(benches);

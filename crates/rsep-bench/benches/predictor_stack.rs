@@ -1,35 +1,32 @@
-//! Criterion bench: the front-end predictor stack in isolation.
+//! Bench: the front-end predictor stack in isolation.
 //!
 //! Two comparisons behind the unified-predictor refactor, measured rather
 //! than asserted:
 //!
-//! * `predictor_stack/batched` vs `predictor_stack/per_branch` — the same
-//!   branch stream resolved through one `predict_block` call per
-//!   fetch-width block versus one `predict_one` call per branch (the
-//!   retained reference protocol).
-//! * `predictor_stack/tage_flat` vs `predictor_stack/tage_legacy` — two
-//!   in-bench TAGE clones differing *only* in table layout (one flat
-//!   packed-word array vs the retired `Vec<Vec<Entry>>`), predict +
-//!   update per branch, isolating the layout effect from codegen context.
-//!   `predictor_stack/tage_trait` drives the real [`Tage`] through the
-//!   unified trait for the end-to-end number.
+//! * `batched` vs `per_branch` — the same branch stream resolved through
+//!   one `predict_block` call per fetch-width block versus one
+//!   `predict_one` call per branch (the retained reference protocol).
+//! * `tage_flat` vs `tage_legacy` — two in-bench TAGE clones differing
+//!   *only* in table layout (one flat packed-word array vs the retired
+//!   `Vec<Vec<Entry>>`), predict + update per branch, isolating the layout
+//!   effect from codegen context. `tage_trait` drives the real [`Tage`]
+//!   through the unified trait for the end-to-end number.
 //!
-//! The final `throughput` entry prints branches-per-second for each path
-//! and writes the same numbers as machine-readable JSON to
-//! `BENCH_predictor_stack.json` at the workspace root (override with
-//! `RSEP_BENCH_PREDICTOR_JSON`), so the bench trajectory is tracked per PR
-//! next to `BENCH_cycle_loop.json`.
+//! Before timing, the bench asserts that the two stack entry points and
+//! the three TAGE variants count the same mispredictions. It then prints
+//! branches-per-second for each path and writes the same numbers as
+//! machine-readable JSON to `BENCH_predictor_stack.json` at the workspace
+//! root (override with `RSEP_BENCH_PREDICTOR_JSON`), so the bench
+//! trajectory is tracked per PR next to `BENCH_cycle_loop.json`.
 
 #![forbid(unsafe_code)]
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rsep_bench::record::BenchRecord;
+use rsep_bench::record::{timed, BenchRecord};
 use rsep_isa::{BranchInfo, BranchKind};
 use rsep_predictors::{
     FoldedHistory, GlobalHistory, Lfsr, PredictRequest, Predictor, PredictorStack, Tage, TageConfig,
 };
 use rsep_stats::json::Json;
-use std::time::Instant;
 
 const BRANCHES: usize = 100_000;
 const BLOCK: usize = 8;
@@ -457,37 +454,23 @@ fn run_tage_legacy(stream: &[(u64, BranchInfo)]) -> u64 {
     mispredicts
 }
 
-fn bench(c: &mut Criterion) {
-    let stream = branch_stream();
-    // The two stack entry points and the three TAGE variants must agree —
-    // each bench doubles as a coarse equivalence check.
-    assert_eq!(run_batched(&stream), run_per_branch(&stream));
-    assert_eq!(run_tage_trait(&stream), run_tage_legacy(&stream));
-    assert_eq!(run_tage_trait(&stream), run_tage_flat(&stream));
-    c.bench_function("predictor_stack/batched", |b| b.iter(|| black_box(run_batched(&stream))));
-    c.bench_function("predictor_stack/per_branch", |b| {
-        b.iter(|| black_box(run_per_branch(&stream)))
-    });
-    c.bench_function("predictor_stack/tage_flat", |b| b.iter(|| black_box(run_tage_flat(&stream))));
-    c.bench_function("predictor_stack/tage_legacy", |b| {
-        b.iter(|| black_box(run_tage_legacy(&stream)))
-    });
-    c.bench_function("predictor_stack/tage_trait", |b| {
-        b.iter(|| black_box(run_tage_trait(&stream)))
-    });
-}
-
 /// Default output path of the machine-readable throughput record: the
 /// workspace root, next to `BENCH_cycle_loop.json`.
 const BENCH_JSON_DEFAULT: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_predictor_stack.json");
 
-/// Prints absolute throughput (branches per second) for each path and
-/// records it as schema-v2 JSON (`BENCH_predictor_stack.json`) with host
-/// metadata and max-RSS. No core runs here, so the attribution slot is
-/// always `null`.
-fn throughput(_c: &mut Criterion) {
+/// Checks that the paths agree, then prints absolute throughput (branches
+/// per second) for each path and records it as schema-v2 JSON
+/// (`BENCH_predictor_stack.json`) with host metadata and max-RSS. No core
+/// runs here, so the attribution slot is always `null`.
+fn main() {
     let stream = branch_stream();
+    // The two stack entry points and the three TAGE variants must agree —
+    // the bench doubles as a coarse equivalence check, and these untimed
+    // runs warm every path up.
+    assert_eq!(run_batched(&stream), run_per_branch(&stream));
+    assert_eq!(run_tage_trait(&stream), run_tage_legacy(&stream));
+    assert_eq!(run_tage_trait(&stream), run_tage_flat(&stream));
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
     let mut results = Vec::new();
     let paths: [BenchPath; 5] = [
@@ -506,15 +489,10 @@ fn throughput(_c: &mut Criterion) {
     // one-core host a quiet window has to line up with the whole sweep, and
     // more rounds make catching one near-certain.
     let mut best = [f64::MAX; 5];
-    for (_, run) in paths {
-        run(&stream); // untimed warm-up
-    }
     for _ in 0..8 {
         for (slot, (_, run)) in paths.iter().enumerate() {
-            // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
-            let start = Instant::now();
-            black_box(run(&stream));
-            best[slot] = best[slot].min(start.elapsed().as_secs_f64());
+            let (secs, _) = timed(|| run(&stream));
+            best[slot] = best[slot].min(secs);
         }
     }
     for (slot, (label, _)) in paths.iter().enumerate() {
@@ -535,6 +513,3 @@ fn throughput(_c: &mut Criterion) {
     };
     record.write("RSEP_BENCH_PREDICTOR_JSON", BENCH_JSON_DEFAULT);
 }
-
-criterion_group!(benches, bench, throughput);
-criterion_main!(benches);

@@ -1,27 +1,26 @@
-//! Criterion bench: trace generation vs simulation — how much of a
-//! campaign cell's wall-clock is spent *making* instructions rather than
-//! simulating them?
+//! Bench: trace generation vs simulation — how much of a campaign cell's
+//! wall-clock is spent *making* instructions rather than simulating them?
 //!
 //! Six modes over the same gcc workload, checkpoint 0 of seed 42 (the
 //! stream `record_profile` writes), so every simulating mode must report
 //! the same simulated cycles:
 //!
-//! * `trace_gen/generate` — [`TraceGenerator`] iteration alone (the cost
-//!   the simulator pays on top of simulation in a streamed run);
-//! * `trace_gen/analyze` — [`RedundancyAnalyzer`] over the live generator,
-//!   the whole Figure 1 path (generation plus the counted value window);
-//! * `trace_gen/simulate_pregenerated` — the baseline core over a
-//!   pre-collected `Vec<DynInst>` (pure simulation);
-//! * `trace_gen/simulate_streaming` — the baseline core pulling straight
-//!   from a live generator (how campaign cells actually run);
-//! * `trace_gen/record` — [`record_profile`] writing the workload as an
-//!   in-memory trace file (generation + delta/varint encoding);
-//! * `trace_gen/replay` — the baseline core pulling from a parsed trace
-//!   file segment (decode + simulation, how `rsep trace replay` runs).
+//! * `generate` — [`TraceGenerator`] iteration alone (the cost the
+//!   simulator pays on top of simulation in a streamed run);
+//! * `analyze` — [`RedundancyAnalyzer`] over the live generator, the whole
+//!   Figure 1 path (generation plus the counted value window);
+//! * `simulate_pregenerated` — the baseline core over a pre-collected
+//!   `Vec<DynInst>` (pure simulation);
+//! * `simulate_streaming` — the baseline core pulling straight from a live
+//!   generator (how campaign cells actually run);
+//! * `record` — [`record_profile`] writing the workload as an in-memory
+//!   trace file (generation + delta/varint encoding);
+//! * `replay` — the baseline core pulling from a parsed trace file segment
+//!   (decode + simulation, how `rsep trace replay` runs).
 //!
-//! The `throughput` entry derives the generation share of streamed
-//! wall-clock as `generate / streaming` — the standalone generation cost
-//! over the streamed run it is embedded in. (The alternative,
+//! The bench derives the generation share of streamed wall-clock as
+//! `generate / streaming` — the standalone generation cost over the
+//! streamed run it is embedded in. (The alternative,
 //! `streaming − pregenerated`, subtracts two ~17 ms measurements whose
 //! true gap is ~1.3 ms, so run-to-run noise swamps it.) The record goes,
 //! with the per-mode numbers, as schema-v2 JSON to `BENCH_trace_gen.json`
@@ -30,14 +29,12 @@
 
 #![forbid(unsafe_code)]
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rsep_bench::record::BenchRecord;
+use rsep_bench::record::{timed, BenchRecord};
 use rsep_core::{checkpoint_seed, RedundancyAnalyzer, RedundancyConfig};
 use rsep_stats::json::Json;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec, TraceGenerator};
 use rsep_tracefile::{record_profile, AnonScheme, TraceFile, RECORD_SLACK};
 use rsep_uarch::{Core, CoreConfig};
-use std::time::Instant;
 
 const COMMITS: u64 = 30_000;
 /// Same head-room over the commit target as `cycle_loop` uses.
@@ -130,27 +127,12 @@ fn workload(profile: &BenchmarkProfile) -> (Vec<rsep_isa::DynInst>, TraceFile, u
     (insts, file, file_bytes)
 }
 
-fn bench(c: &mut Criterion) {
-    let profile = profile();
-    let (insts, file, _) = workload(&profile);
-    c.bench_function("trace_gen/generate", |b| b.iter(|| black_box(generate(&profile))));
-    c.bench_function("trace_gen/analyze", |b| b.iter(|| black_box(analyze(&profile))));
-    c.bench_function("trace_gen/simulate_pregenerated", |b| {
-        b.iter(|| black_box(simulate_pregenerated(&insts)))
-    });
-    c.bench_function("trace_gen/simulate_streaming", |b| {
-        b.iter(|| black_box(simulate_streaming(&profile)))
-    });
-    c.bench_function("trace_gen/record", |b| b.iter(|| black_box(record(&profile))));
-    c.bench_function("trace_gen/replay", |b| b.iter(|| black_box(replay(&file))));
-}
-
 /// Default output path: the workspace root, next to the other records.
 const BENCH_JSON_DEFAULT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace_gen.json");
 
 /// Best-of-3 wall-clock per mode, plus the derived generation share of
 /// streamed wall-clock, as schema-v2 JSON.
-fn throughput(_c: &mut Criterion) {
+fn main() {
     let profile = profile();
     let (insts, file, file_bytes) = workload(&profile);
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
@@ -160,10 +142,9 @@ fn throughput(_c: &mut Criterion) {
         let mut best = f64::MAX;
         let mut payload = 0u64;
         for _ in 0..3 {
-            // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
-            let start = Instant::now();
-            payload = black_box(run());
-            best = best.min(start.elapsed().as_secs_f64());
+            let (secs, out) = timed(&mut *run);
+            payload = out;
+            best = best.min(secs);
         }
         println!(
             "trace_gen/throughput/{label:<22} {:>8.3} ms/run  {:>7.2} Minsts/s",
@@ -234,6 +215,3 @@ fn throughput(_c: &mut Criterion) {
     };
     record.write("RSEP_BENCH_TRACE_JSON", BENCH_JSON_DEFAULT);
 }
-
-criterion_group!(benches, bench, throughput);
-criterion_main!(benches);

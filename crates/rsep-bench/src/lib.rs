@@ -1,290 +1,17 @@
 //! # rsep-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (Section VI). Each `src/bin/*` binary prints one experiment as
-//! a text table (and JSON when `--json` is passed); the Criterion benches in
-//! `benches/` exercise the same code paths at a reduced scale so `cargo
-//! bench` both times the simulator and re-derives the headline shapes.
+//! The simulator's gated micro-benchmarks. Each bench in `benches/` is a
+//! plain `fn main()` that times one layer (`cycle_loop`, `predictor_stack`,
+//! `trace_gen`, `cache_hierarchy`), checks that its measured paths agree,
+//! and — for the first three — writes a `BENCH_*.json` record through
+//! [`record::BenchRecord`]. The `bench_gate` binary compares a fresh record
+//! against the committed one.
 //!
-//! Since PR 1 the figures are thin wrappers over the **`rsep-campaign`
-//! engine**: each experiment grid is expanded into independent
-//! `(profile, mechanism, checkpoint)` cells and fanned across worker
-//! threads, so a full campaign uses every core while producing bit-identical
-//! results at any thread count. The `rsep` CLI (in `rsep-campaign`) is the
-//! preferred entry point; these binaries remain for per-figure use.
-//!
-//! Scale is controlled with environment variables so the full campaign can
-//! be made as small (CI smoke run) or large (overnight) as desired:
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `RSEP_CHECKPOINTS` | 1 | checkpoints per benchmark |
-//! | `RSEP_WARMUP` | 100000 | warm-up instructions per checkpoint |
-//! | `RSEP_MEASURE` | 60000 | measured instructions per checkpoint |
-//! | `RSEP_BENCHMARKS` | all | comma-separated benchmark subset |
-//! | `RSEP_SEED` | 42 | trace generation seed |
-//! | `RSEP_JOBS` | all cores | campaign worker threads |
-//!
-//! The paper's own scale (10 × (50M + 100M) instructions per benchmark) is
-//! available through [`paper_scale`] but is far too slow for routine use.
+//! Figures and tables come from the `rsep` CLI (in `rsep-campaign`); the
+//! campaign benchmark lives in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod record;
-
-use rsep_campaign::env::env_u64;
-use rsep_campaign::{presets, Campaign, CampaignSpec};
-use rsep_core::{BenchmarkResult, MechanismConfig};
-use rsep_stats::Experiment;
-use rsep_trace::{BenchmarkProfile, CheckpointSpec};
-use rsep_uarch::CoreConfig;
-
-/// Experiment scale (checkpoints, warm-up, measurement, seed, benchmarks).
-#[derive(Debug, Clone)]
-// lint: exempt(dead-pub-api, scale knob for external perf tooling; consumed via smoke_scale/paper_scale)
-pub struct Scale {
-    /// Checkpoint specification.
-    pub spec: CheckpointSpec,
-    /// Trace seed.
-    pub seed: u64,
-    /// Benchmarks to run.
-    pub benchmarks: Vec<BenchmarkProfile>,
-}
-
-/// Reads the experiment scale from the environment (see crate docs).
-pub fn scale_from_env() -> Scale {
-    let checkpoints = env_u64("RSEP_CHECKPOINTS", 1) as usize;
-    let warmup = env_u64("RSEP_WARMUP", 100_000);
-    let measure = env_u64("RSEP_MEASURE", 60_000);
-    let seed = env_u64("RSEP_SEED", 42);
-    let all = BenchmarkProfile::spec2006();
-    let benchmarks = match std::env::var("RSEP_BENCHMARKS") {
-        Ok(list) if !list.trim().is_empty() && list != "all" => {
-            let wanted: Vec<&str> = list.split(',').map(|s| s.trim()).collect();
-            all.into_iter().filter(|p| wanted.contains(&p.name)).collect()
-        }
-        _ => all,
-    };
-    Scale { spec: CheckpointSpec::scaled(checkpoints, warmup, measure), seed, benchmarks }
-}
-
-/// A small scale for Criterion benches and tests: a handful of
-/// representative benchmarks at reduced instruction counts.
-// lint: exempt(dead-pub-api, entry point for external perf tooling and ad-hoc profiling runs)
-pub fn smoke_scale() -> Scale {
-    let names = ["mcf", "dealII", "libquantum", "perlbench", "gcc", "zeusmp"];
-    Scale {
-        spec: CheckpointSpec::scaled(1, 2_000, 8_000),
-        seed: 42,
-        benchmarks: names.iter().filter_map(|n| BenchmarkProfile::by_name(n)).collect(),
-    }
-}
-
-/// The paper's own scale (Section V): 10 checkpoints × (50M + 100M)
-/// instructions per benchmark. Provided for completeness.
-// lint: exempt(dead-pub-api, the paper-faithful scale is part of the reproduction contract)
-pub fn paper_scale() -> Scale {
-    Scale { spec: CheckpointSpec::paper(), seed: 42, benchmarks: BenchmarkProfile::spec2006() }
-}
-
-/// Core configuration used by the experiments (Table I).
-pub fn core_config() -> CoreConfig {
-    CoreConfig::table1()
-}
-
-/// Imposes a [`Scale`] on a preset campaign spec, keeping its mechanism
-/// grid.
-fn at_scale(spec: CampaignSpec, scale: &Scale) -> CampaignSpec {
-    spec.with_profiles(scale.benchmarks.clone()).with_checkpoints(scale.spec).with_seed(scale.seed)
-}
-
-/// The campaign engine every figure runs on (`RSEP_JOBS` workers).
-fn engine() -> Campaign {
-    Campaign::from_env()
-}
-
-// --------------------------------------------------------------- Table I
-
-/// Renders Table I (the simulated configuration).
-pub fn table1() -> String {
-    let config = core_config();
-    let mut out = String::from("TABLE I: Simulator configuration overview\n");
-    for (section, value) in config.table1_rows() {
-        out.push_str(&format!("{section:<18}{value}\n"));
-    }
-    out
-}
-
-// --------------------------------------------------------------- Figure 1
-
-/// Figure 1: ratio of committed instructions whose result is zero or
-/// already in the PRF, split by loads vs other producers. One redundancy
-/// cell per `(profile, checkpoint)`, merged per profile.
-pub fn figure1(scale: &Scale) -> Experiment {
-    let (exp, _) = engine().run_redundancy(&at_scale(presets::fig1(), scale));
-    exp
-}
-
-// --------------------------------------------------------------- Figure 4
-
-/// Runs one benchmark under a list of mechanisms plus the baseline, and
-/// returns `(baseline, results)` — through the campaign engine, so the
-/// mechanism × checkpoint cells run in parallel.
-// lint: exempt(dead-pub-api, entry point for external perf tooling and ad-hoc profiling runs)
-pub fn run_mechanisms(
-    profile: &BenchmarkProfile,
-    mechanisms: &[MechanismConfig],
-    scale: &Scale,
-) -> (BenchmarkResult, Vec<BenchmarkResult>) {
-    let spec = CampaignSpec::new("mechanisms")
-        .with_profiles(vec![profile.clone()])
-        .with_checkpoints(scale.spec)
-        .with_seed(scale.seed)
-        .with_mechanisms(mechanisms.to_vec());
-    let mut result = engine().run(&spec);
-    let row = result.rows.remove(0);
-    (row.baseline.expect("baseline requested"), row.results)
-}
-
-/// Figure 4: speedup over baseline of zero prediction, move elimination,
-/// RSEP (ideal), value prediction and RSEP + VP.
-pub fn figure4(scale: &Scale) -> Experiment {
-    engine().run(&at_scale(presets::fig4(), scale)).speedups()
-}
-
-// --------------------------------------------------------------- Figure 5
-
-/// Figure 5: percentage of committed instructions covered by each
-/// mechanism, for RSEP alone and for VP on top of RSEP.
-pub fn figure5(scale: &Scale) -> Experiment {
-    presets::figure5_experiment(&engine().run(&at_scale(presets::fig5(), scale)))
-}
-
-// --------------------------------------------------------------- Figure 6
-
-/// The validation/sampling variants of Figure 6.
-pub fn figure6_variants() -> Vec<(String, MechanismConfig)> {
-    presets::fig6_variants()
-}
-
-/// Figure 6: impact of the validation mechanism and commit sampling.
-pub fn figure6(scale: &Scale) -> Experiment {
-    engine().run(&at_scale(presets::fig6(), scale)).speedups()
-}
-
-// --------------------------------------------------------------- Figure 7
-
-/// Figure 7: ideal RSEP vs the realistic 10.1 KB configuration, plus the
-/// Section VI-B summary metrics (accuracy, coverage, storage).
-pub fn figure7(scale: &Scale) -> (Experiment, Experiment) {
-    let result = engine().run(&at_scale(presets::fig7(), scale));
-    (result.speedups(), presets::figure7_summary(&result))
-}
-
-// --------------------------------------------------------------- Ablations
-
-/// Section VI-A2: FIFO history depth sensitivity (and the DDT comparison
-/// point).
-pub fn ablation_history(scale: &Scale) -> Experiment {
-    engine().run(&at_scale(presets::sweep_history(), scale)).speedups()
-}
-
-/// Section VI-A3: ISRB size sensitivity.
-pub fn ablation_isrb(scale: &Scale) -> Experiment {
-    engine().run(&at_scale(presets::sweep_isrb(), scale)).speedups()
-}
-
-/// Section IV-A: hash width sensitivity (false-match rate of the pairing
-/// hash vs storage).
-pub fn ablation_hash(scale: &Scale) -> Experiment {
-    engine().run(&at_scale(presets::sweep_hash(), scale)).speedups()
-}
-
-/// Prints an experiment to stdout and optionally writes JSON next to the
-/// binary when `--json` was passed on the command line.
-pub fn emit(exp: &Experiment) {
-    println!("{}", exp.to_table());
-    if std::env::args().any(|a| a == "--json") {
-        let path = format!("{}.json", exp.id);
-        std::fs::write(&path, exp.to_json()).expect("failed to write JSON output");
-        println!("(wrote {path})");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_scale(names: &[&str]) -> Scale {
-        Scale {
-            spec: CheckpointSpec::scaled(1, 500, 2_000),
-            seed: 7,
-            benchmarks: names.iter().filter_map(|n| BenchmarkProfile::by_name(n)).collect(),
-        }
-    }
-
-    #[test]
-    fn table1_mentions_the_headline_parameters() {
-        let t = table1();
-        assert!(t.contains("192-entry ROB"));
-        assert!(t.contains("8-wide fetch"));
-    }
-
-    #[test]
-    fn figure1_produces_four_series_per_benchmark() {
-        let exp = figure1(&tiny_scale(&["gcc", "zeusmp"]));
-        assert_eq!(exp.benchmarks().len(), 2);
-        assert_eq!(exp.series().len(), 4);
-        for p in &exp.points {
-            assert!(p.value >= 0.0 && p.value <= 100.0);
-        }
-    }
-
-    #[test]
-    fn figure6_has_five_validation_variants() {
-        let variants = figure6_variants();
-        assert_eq!(variants.len(), 5);
-        assert!(variants.iter().any(|(l, _)| l == "ideal-validation"));
-        assert!(variants.iter().any(|(l, _)| l == "issue2x-sample-t63"));
-    }
-
-    #[test]
-    fn scale_from_env_defaults_cover_the_whole_suite() {
-        // Only check the default path (no env manipulation to stay
-        // parallel-test safe).
-        if std::env::var("RSEP_BENCHMARKS").is_err() {
-            let scale = scale_from_env();
-            assert_eq!(scale.benchmarks.len(), 29);
-            assert!(scale.spec.measure > 0);
-        }
-    }
-
-    #[test]
-    fn figure4_smoke_run_produces_bounded_speedups() {
-        let exp = figure4(&tiny_scale(&["libquantum"]));
-        assert_eq!(exp.benchmarks().len(), 1);
-        assert_eq!(exp.series().len(), 5);
-        for p in &exp.points {
-            assert!(p.value > -50.0 && p.value < 100.0, "{}: {}", p.series, p.value);
-        }
-    }
-
-    #[test]
-    fn run_mechanisms_returns_baseline_and_per_mechanism_results() {
-        let profile = BenchmarkProfile::by_name("hmmer").unwrap();
-        let scale = tiny_scale(&["hmmer"]);
-        let (baseline, results) = run_mechanisms(
-            &profile,
-            &[MechanismConfig::move_elim(), MechanismConfig::value_pred()],
-            &scale,
-        );
-        assert_eq!(baseline.mechanism, "baseline");
-        assert_eq!(results.len(), 2);
-        for r in &results {
-            let speedup = r.speedup_over(&baseline);
-            assert!(speedup > 0.5 && speedup < 2.0, "{}: speedup {speedup}", r.mechanism);
-        }
-    }
-}

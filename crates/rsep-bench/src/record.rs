@@ -18,7 +18,8 @@
 //! compares against the committed copy of the record.
 
 use rsep_stats::json::Json;
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::hint::black_box;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Version of the record envelope written by [`BenchRecord::to_json`].
 // lint: exempt(dead-pub-api, schema contract for external consumers of bench JSON records)
@@ -71,6 +72,16 @@ impl BenchRecord {
             Err(error) => eprintln!("{}/throughput: cannot write {path}: {error}", self.bench),
         }
     }
+}
+
+/// Runs `run` once and returns its wall-clock seconds with its result,
+/// which passes through [`black_box`] so the work cannot be optimised
+/// away. This is the benches' one clock read.
+pub fn timed<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
+    let start = Instant::now();
+    let out = black_box(run());
+    (start.elapsed().as_secs_f64(), out)
 }
 
 /// Host metadata: CPU model, core count, rustc version, UTC timestamp.

@@ -1,5 +1,5 @@
-//! `RSEP_*` environment variable parsing, shared by the campaign engine,
-//! the `rsep` CLI and the `rsep-bench` figure binaries.
+//! `RSEP_*` environment variable parsing, shared by the campaign engine
+//! and the `rsep` CLI.
 //!
 //! One parser, one policy: a *set but malformed* value is a loud warning on
 //! stderr (falling back to the default), never a silent fallback — a typo'd

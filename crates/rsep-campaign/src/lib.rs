@@ -8,8 +8,7 @@
 //!
 //! * [`CampaignSpec`] — a declarative description of one campaign
 //!   (profiles × mechanisms × core config × checkpoint scale × seed),
-//!   honouring the same `RSEP_*` environment variables as the `rsep-bench`
-//!   binaries;
+//!   honouring the `RSEP_*` scale environment variables;
 //! * [`Executor`] — a channel-fed thread pool that fans the independent
 //!   `(profile, mechanism, checkpoint)` cells across workers and collects
 //!   outputs by cell index, so results are **bit-identical at any thread
@@ -24,7 +23,7 @@
 //! * [`report`] — JSON / CSV / markdown / fixed-width table emitters built
 //!   on `rsep-stats`;
 //! * [`presets`] — the paper's figure campaigns (Figures 1, 4, 6, 7 and
-//!   the sensitivity sweeps), shared by the `rsep` CLI and `rsep-bench`.
+//!   the sensitivity sweeps) that the `rsep` CLI runs.
 //!
 //! # Quick start
 //!
@@ -620,6 +619,7 @@ mod tests {
             .with_baseline(false);
         let (exp, exec) = Campaign::with_jobs(2).run_redundancy(&spec);
         assert_eq!(exec.cells, 4);
+        assert_eq!(exp.benchmarks().len(), 2);
         assert_eq!(exp.series().len(), 4);
         for p in &exp.points {
             assert!((0.0..=100.0).contains(&p.value));

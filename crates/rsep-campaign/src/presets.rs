@@ -1,7 +1,7 @@
 //! The paper's figure campaigns as ready-made [`CampaignSpec`]s.
 //!
-//! Shared by the `rsep` CLI and the `rsep-bench` figure harness so there is
-//! exactly one definition of each experiment grid.
+//! The `rsep` CLI's figure subcommands run these, so there is exactly one
+//! definition of each experiment grid.
 
 use crate::spec::CampaignSpec;
 use rsep_core::{FifoHistoryConfig, IsrbConfig, MechanismConfig, RsepConfig, SamplingConfig};
@@ -20,7 +20,7 @@ pub fn fig4() -> CampaignSpec {
 }
 
 /// The validation/sampling variants of Figure 6, labelled.
-pub fn fig6_variants() -> Vec<(String, MechanismConfig)> {
+fn fig6_variants() -> Vec<(String, MechanismConfig)> {
     let base = RsepConfig::ideal();
     let mk = |label: &str, validation: ValidationKind, sampling: Option<SamplingConfig>| {
         let mut cfg = base.clone();
@@ -63,7 +63,7 @@ pub fn fig5() -> CampaignSpec {
 }
 
 /// Section VI-A2 sweep: FIFO history depth sensitivity.
-pub fn sweep_history() -> CampaignSpec {
+fn sweep_history() -> CampaignSpec {
     let mechanisms = [32usize, 128, 256, 2048]
         .iter()
         .map(|&capacity| {
@@ -78,7 +78,7 @@ pub fn sweep_history() -> CampaignSpec {
 }
 
 /// Section VI-A3 sweep: ISRB size sensitivity (plus the unlimited point).
-pub fn sweep_isrb() -> CampaignSpec {
+fn sweep_isrb() -> CampaignSpec {
     let mut mechanisms: Vec<MechanismConfig> = [4usize, 8, 16, 24, 48]
         .iter()
         .map(|&entries| {
@@ -96,7 +96,7 @@ pub fn sweep_isrb() -> CampaignSpec {
 }
 
 /// Section IV-A sweep: pairing-hash width sensitivity.
-pub fn sweep_hash() -> CampaignSpec {
+fn sweep_hash() -> CampaignSpec {
     let mechanisms = [8u8, 10, 14, 16]
         .iter()
         .map(|&hash_bits| {
@@ -192,6 +192,10 @@ mod tests {
     #[test]
     fn figure_presets_have_expected_grids() {
         assert_eq!(fig4().mechanisms.len(), 5);
+        // Distinct labels, so the speedup report has one series each.
+        let fig4_labels: std::collections::BTreeSet<String> =
+            fig4().mechanisms.into_iter().map(|m| m.label).collect();
+        assert_eq!(fig4_labels.len(), 5);
         assert_eq!(fig7().mechanisms.len(), 2);
         assert!(!fig5().baseline);
         assert!(!fig1().baseline);

@@ -5,8 +5,8 @@
 //! checkpoint scale × seed. The runner expands it into independent
 //! `(profile, mechanism, checkpoint)` cells for the executor.
 //!
-//! Scale knobs honour the same `RSEP_*` environment variables as the
-//! `rsep-bench` binaries (see [`CampaignSpec::apply_env`]):
+//! Scale knobs honour the `RSEP_*` environment variables (see
+//! [`CampaignSpec::apply_env`]):
 //!
 //! | variable | meaning |
 //! |---|---|

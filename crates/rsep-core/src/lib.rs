@@ -6,10 +6,9 @@
 //!
 //! The crate provides:
 //!
-//! * the RSEP hardware structures: [`HashRegFile`] (Section IV-A),
-//!   [`FifoHistory`] and [`Ddt`] pairing (Section IV-B), the TAGE-like
-//!   distance predictor lives in `rsep-predictors`, and the [`Isrb`]
-//!   register-sharing reference counter (Section IV-E2);
+//! * the RSEP hardware structures: [`FifoHistory`] pairing (Section
+//!   IV-B) and the [`Isrb`] register-sharing reference counter (Section
+//!   IV-E2); the TAGE-like distance predictor lives in `rsep-predictors`;
 //! * [`RsepConfig`] / [`MechanismConfig`] — the named configurations of the
 //!   evaluation (ideal vs realistic RSEP, zero prediction, move
 //!   elimination, value prediction, RSEP+VP) with storage accounting that
@@ -42,19 +41,15 @@
 #![deny(missing_debug_implementations)]
 
 pub mod config;
-pub mod ddt;
 pub mod engine;
 pub mod fifo_history;
-pub mod hrf;
 pub mod isrb;
 pub mod redundancy;
 pub mod runner;
 
 pub use config::{MechanismConfig, RsepConfig, SamplingConfig, VpConfig};
-pub use ddt::{Ddt, DdtConfig};
 pub use engine::{EngineStats, RsepEngine};
 pub use fifo_history::{FifoHistory, FifoHistoryConfig, FifoHistoryStats, PairMatch};
-pub use hrf::HashRegFile;
 pub use isrb::{Isrb, IsrbConfig, IsrbStats};
 pub use redundancy::{RedundancyAnalyzer, RedundancyConfig, RedundancyReport};
 pub use runner::{

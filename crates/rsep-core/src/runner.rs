@@ -351,6 +351,7 @@ mod tests {
             CheckpointSpec::scaled(1, 500, 2_000),
             7,
         );
+        assert_eq!(baseline.mechanism, "baseline");
         assert_eq!(results.len(), 2);
         for r in &results {
             let speedup = r.speedup_over(&baseline);

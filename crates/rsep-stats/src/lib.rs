@@ -2,9 +2,8 @@
 //!
 //! Statistics and report formatting for the RSEP reproduction: the
 //! harmonic-mean IPC aggregation of Section V, speedup computation, and
-//! fixed-width table / JSON / CSV / markdown rendering used by every
-//! experiment binary in `rsep-bench` and by the `rsep-campaign` report
-//! emitters.
+//! fixed-width table / JSON / CSV / markdown rendering used by the
+//! `rsep-campaign` report emitters.
 //!
 //! JSON support is provided by the built-in [`json`] module (the container
 //! cannot fetch `serde`; see `vendor/README.md`), with [`jsonl`] adding the

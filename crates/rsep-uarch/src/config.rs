@@ -381,6 +381,7 @@ mod tests {
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().any(|(k, _)| k == "Caches"));
         assert!(rows.iter().any(|(_, v)| v.contains("192-entry ROB")));
+        assert!(rows.iter().any(|(_, v)| v.contains("8-wide fetch")));
     }
 
     #[test]

@@ -356,13 +356,9 @@ impl PortBudget {
 /// Generic over the speculation engine so every per-branch
 /// ([`SpecEngine::on_branch`]) and per-instruction (`at_rename` /
 /// `at_commit` / `release_register`) engine call is statically dispatched
-/// and inlines into the pipeline loop — the monomorphised front end of
-/// PR 9. `Core<Box<dyn SpecEngine>>` (the default parameter, served by the
-/// forwarding impl on `Box`) keeps the dynamically-dispatched construction
-/// surface for callers that pick the engine at runtime without naming its
-/// type.
+/// and inlines into the pipeline loop.
 #[derive(Debug)]
-pub struct Core<E: SpecEngine = Box<dyn SpecEngine>> {
+pub struct Core<E: SpecEngine> {
     config: CoreConfig,
     clock: u64,
     hierarchy: CacheHierarchy,
@@ -451,9 +447,8 @@ impl Core<crate::engine::NullEngine> {
 impl<E: SpecEngine> Core<E> {
     /// Creates a core with the given configuration and speculation engine.
     ///
-    /// Passing the engine by value (any `E: SpecEngine`, concrete or
-    /// boxed) monomorphises the whole pipeline for it; `Box<dyn
-    /// SpecEngine>` still works for callers that need runtime selection.
+    /// Passing the engine by value monomorphises the whole pipeline for
+    /// it.
     ///
     /// # Panics
     ///
@@ -2104,7 +2099,7 @@ mod tests {
         }
         let mut config = CoreConfig::small_test();
         config.int_prf_size = 40; // 33 pinned + 7 headroom: leaks out fast
-        let mut core = Core::new(config, Box::new(HoardingEngine));
+        let mut core = Core::new(config, HoardingEngine);
         let insts: Vec<DynInst> = (0..50_000u64)
             .map(|i| alu(i, 0x40_0000 + (i % 8) * 4, (i % 8) as u8, None, i))
             .collect();

@@ -202,34 +202,6 @@ pub trait SpecEngine: std::fmt::Debug {
     }
 }
 
-/// Forwarding impl: a boxed engine (sized or `dyn`) is itself an engine.
-/// `Box<dyn SpecEngine>` keeps the runtime-selected construction surface
-/// of [`Core`](crate::Core) alive, while `Box<ConcreteEngine>` dispatches
-/// statically through the box — the monomorphised hot path.
-impl<T: SpecEngine + ?Sized> SpecEngine for Box<T> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn on_branch(&mut self, pc: u64, taken: bool) {
-        (**self).on_branch(pc, taken)
-    }
-    fn at_rename(&mut self, inst: &DynInst, ctx: &RenameContext<'_>) -> RenameAction {
-        (**self).at_rename(inst, ctx)
-    }
-    fn at_commit(&mut self, inst: &DynInst, disposition: Disposition, clock: u64) {
-        (**self).at_commit(inst, disposition, clock)
-    }
-    fn release_register(&mut self, preg: PhysReg) -> bool {
-        (**self).release_register(preg)
-    }
-    fn on_squash(&mut self, from_seq: u64) -> Vec<PhysReg> {
-        (**self).on_squash(from_seq)
-    }
-    fn predictor_stats(&self) -> Vec<(&'static str, PredictorStats)> {
-        (**self).predictor_stats()
-    }
-}
-
 /// The baseline engine: no speculation, every instruction renames normally.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullEngine;

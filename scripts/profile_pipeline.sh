@@ -17,13 +17,11 @@
 #
 # Missing tools degrade gracefully: the bench log and JSON are always
 # written, and the manifest records which profilers were unavailable.
-# Bench durations follow CRITERION_WARMUP_MS / CRITERION_MEASURE_MS
-# (defaults below keep a full pipeline run under a few minutes).
 
 set -euo pipefail
 
 usage() {
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -49,9 +47,6 @@ if [ "${#BENCHES[@]}" -eq 0 ]; then
     BENCHES=(cycle_loop predictor_stack trace_gen)
 fi
 
-export CRITERION_WARMUP_MS="${CRITERION_WARMUP_MS:-50}"
-export CRITERION_MEASURE_MS="${CRITERION_MEASURE_MS:-200}"
-
 STAMP="$(date -u +%Y%m%dT%H%M%SZ)"
 OUT="target/profiles/$STAMP"
 
@@ -71,7 +66,6 @@ if [ "$DRY_RUN" -eq 1 ]; then
     echo "  benches:   ${BENCHES[*]}"
     echo "  output:    $OUT/"
     echo "  tools:    $TOOLS"
-    echo "  criterion: warmup ${CRITERION_WARMUP_MS}ms, measure ${CRITERION_MEASURE_MS}ms"
     exit 0
 fi
 
@@ -81,7 +75,6 @@ MANIFEST="$OUT/manifest.txt"
     echo "profile_pipeline run $STAMP"
     echo "benches: ${BENCHES[*]}"
     echo "tools:$TOOLS"
-    echo "criterion: warmup ${CRITERION_WARMUP_MS}ms, measure ${CRITERION_MEASURE_MS}ms"
     echo "host: $(uname -srm)"
     echo
 } > "$MANIFEST"

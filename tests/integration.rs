@@ -121,7 +121,7 @@ fn core_can_be_driven_directly_with_a_custom_engine() {
     let profile = BenchmarkProfile::by_name("hmmer").unwrap();
     let mut trace = TraceGenerator::new(&profile, 11);
     let engine = RsepEngine::new(MechanismConfig::rsep_realistic());
-    let mut core = Core::new(CoreConfig::small_test(), Box::new(engine));
+    let mut core = Core::new(CoreConfig::small_test(), engine);
     core.run(&mut trace, 10_000).expect("simulation must not wedge");
     let stats = core.take_stats();
     assert!(stats.committed >= 10_000);
