@@ -1,7 +1,7 @@
 //! Report emission: one experiment, several formats.
 //!
 //! All formats are deterministic renderings of an
-//! [`Experiment`](rsep_stats::Experiment) (insertion-ordered rows and
+//! [`Experiment`] (insertion-ordered rows and
 //! series), so campaign output is byte-identical at any worker count.
 
 use rsep_stats::Experiment;

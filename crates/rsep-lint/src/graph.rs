@@ -4,16 +4,16 @@
 //! and `const` across all scanned files into one table, records which
 //! compilation unit and `#[cfg]`/`obs!` gate each lives under, and indexes
 //! every identifier reference by qualified-name matching. Pass-2 lints
-//! (`cfg-gate-consistency`, `dead-pub-api`, the cross-crate half of
-//! `json-roundtrip`) are plain queries over this graph, so "does anything
-//! outside this crate use that symbol" no longer stops at file boundaries.
+//! (`dead-pub-api`, the cross-crate half of `json-roundtrip`) are plain
+//! queries over this graph, so "does anything outside this crate use that
+//! symbol" no longer stops at file boundaries.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokKind;
 use crate::Unit;
 
-/// Compile-time gate a symbol or reference site lives under.
+/// Compile-time gate a symbol lives under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// Compiled in every configuration.
@@ -51,8 +51,6 @@ pub struct RefSite {
     pub unit: usize,
     /// 1-based line of the reference.
     pub line: usize,
-    /// Gate of the reference site.
-    pub gate: Gate,
 }
 
 /// The workspace symbol graph.
@@ -159,11 +157,7 @@ impl Graph {
                 {
                     continue;
                 }
-                g.refs.entry(name.clone()).or_default().push(RefSite {
-                    unit: ui,
-                    line: t.line,
-                    gate: gate_at(u, ti, t.line),
-                });
+                g.refs.entry(name.clone()).or_default().push(RefSite { unit: ui, line: t.line });
             }
         }
         g

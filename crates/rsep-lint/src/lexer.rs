@@ -7,9 +7,8 @@
 //! brace/paren depth without worrying about quoted delimiters.
 
 /// What a [`Token`] is. Only the distinctions the lints need survive:
-/// identifiers (field/type references), string literals (JSON keys),
-/// punctuation (delimiter matching) and integer literal values (the
-/// `packed-layout` const evaluator).
+/// identifiers (field/type references), string literals (JSON keys) and
+/// punctuation (delimiter matching).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword.
@@ -18,10 +17,8 @@ pub enum TokKind {
     Str(String),
     /// Single punctuation character.
     Punct(char),
-    /// Numeric or char literal. Integer literals carry their value so the
-    /// `packed-layout` lint can evaluate shift/mask constants; floats, char
-    /// literals and out-of-range integers carry `None`.
-    Num(Option<u128>),
+    /// Numeric or char literal.
+    Num,
     /// Lifetime such as `'a` (name unused by any lint).
     Lifetime,
 }
@@ -171,12 +168,12 @@ pub fn lex(src: &str) -> Lexed {
                 while j < n && chars[j] != '\'' {
                     j += 1;
                 }
-                out.tokens.push(Token { kind: TokKind::Num(None), line: ln });
+                out.tokens.push(Token { kind: TokKind::Num, line: ln });
                 i = j + 1;
                 continue;
             }
             if i + 2 < n && chars[i + 2] == '\'' && chars[i + 1] != '\'' {
-                out.tokens.push(Token { kind: TokKind::Num(None), line: ln });
+                out.tokens.push(Token { kind: TokKind::Num, line: ln });
                 i += 3;
                 continue;
             }
@@ -203,17 +200,13 @@ pub fn lex(src: &str) -> Lexed {
             while j < n && (is_ident_continue(chars[j])) {
                 j += 1;
             }
-            let mut float = false;
             if j + 1 < n && chars[j] == '.' && chars[j + 1].is_ascii_digit() {
-                float = true;
                 j += 1;
                 while j < n && is_ident_continue(chars[j]) {
                     j += 1;
                 }
             }
-            let text: String = chars[i..j].iter().collect();
-            let value = if float { None } else { int_value(&text) };
-            out.tokens.push(Token { kind: TokKind::Num(value), line: ln });
+            out.tokens.push(Token { kind: TokKind::Num, line: ln });
             i = j;
             continue;
         }
@@ -221,26 +214,6 @@ pub fn lex(src: &str) -> Lexed {
         i += 1;
     }
     out
-}
-
-/// Parses the value of an integer literal: decimal, `0x`/`0o`/`0b`
-/// prefixes, `_` separators and a trailing type suffix (`u32`, `i8`,
-/// `usize`, ...). Returns `None` for anything else (floats never get here).
-fn int_value(text: &str) -> Option<u128> {
-    let t = text.replace('_', "");
-    let (radix, digits) = match t.as_bytes() {
-        [b'0', b'x', ..] => (16, &t[2..]),
-        [b'0', b'o', ..] => (8, &t[2..]),
-        [b'0', b'b', ..] => (2, &t[2..]),
-        _ => (10, t.as_str()),
-    };
-    // Strip a type suffix: the first char that is not a digit of `radix`
-    // starts the suffix (hex digits are never suffix starts for radix 16).
-    let end = digits.find(|c: char| !c.is_digit(radix)).unwrap_or(digits.len());
-    if end == 0 {
-        return None;
-    }
-    u128::from_str_radix(&digits[..end], radix).ok()
 }
 
 /// Lexes a normal (escaped) string body starting just after the opening
@@ -293,7 +266,7 @@ fn lex_prefixed(chars: &[char], i: usize, ln: usize) -> Option<(Token, usize)> {
         while k < n && chars[k] != '\'' {
             k += 1;
         }
-        return Some((Token { kind: TokKind::Num(None), line: ln }, k + 1));
+        return Some((Token { kind: TokKind::Num, line: ln }, k + 1));
     }
     if raw && chars[j] == '#' {
         let mut hashes = 0usize;

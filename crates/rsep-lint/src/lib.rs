@@ -14,9 +14,13 @@
 //! with its crate, file, line, visibility and `#[cfg]`/`obs!` gate, plus
 //! every identifier reference resolved by name across all crates. Pass 2
 //! runs the lints — the per-file coverage checks plus the cross-file
-//! queries (`cfg-gate-consistency`, `dead-pub-api`,
-//! `fingerprint-exclusion-audit`, the bit-level `packed-layout` prover and
-//! the cross-crate half of `json-roundtrip`).
+//! queries (`dead-pub-api`, `fingerprint-exclusion-audit` and the
+//! cross-crate half of `json-roundtrip`).
+//!
+//! A bug class that the compiler or a runtime test already catches gets no
+//! lint of its own. A non-`obs` build that references an `obs`-only symbol
+//! fails `cargo build`, and the packed predictor words are pinned by their
+//! `entry_packing_round_trips` unit tests.
 //!
 //! Deliberate exclusions are declared in-source:
 //!
@@ -44,7 +48,6 @@
 pub mod graph;
 pub mod lexer;
 pub mod lints;
-pub mod packed;
 pub mod parse;
 
 use std::collections::BTreeMap;
@@ -54,10 +57,9 @@ use std::path::{Path, PathBuf};
 use lexer::{Directive, ReaderDecl, Token};
 use parse::ParsedFile;
 
-/// The ten enforced lints, in diagnostic-name form.
-pub const LINT_NAMES: [&str; 10] = [
+/// The eight enforced lints, in diagnostic-name form.
+pub const LINT_NAMES: [&str; 8] = [
     "bin-roundtrip",
-    "cfg-gate-consistency",
     "dead-pub-api",
     "determinism",
     "fingerprint-coverage",
@@ -65,7 +67,6 @@ pub const LINT_NAMES: [&str; 10] = [
     "json-roundtrip",
     "merge-coverage",
     "obs-gate",
-    "packed-layout",
 ];
 
 /// Lint name under which exemption-hygiene findings are reported. Not
@@ -110,7 +111,7 @@ pub struct Finding {
 }
 
 /// Which source tree a file came from; decides which lints apply. Coverage
-/// invariants (fingerprint/merge/json/obs/packed) bind library code only;
+/// invariants (fingerprint/merge/json/obs) bind library code only;
 /// determinism, exemption hygiene and the symbol-graph reference scan run
 /// everywhere, so a bench or test referencing a pub item keeps it alive
 /// for `dead-pub-api`.
@@ -216,11 +217,7 @@ pub fn lint_sources_with_root(files: Vec<SourceFile>, root: Option<&Path>) -> Ve
     raw.extend(lints::bin_roundtrip(&units));
     raw.extend(lints::obs_gate(&units));
     raw.extend(lints::determinism(&units));
-    for u in units.iter().filter(|u| u.tree == Tree::Src) {
-        raw.extend(packed::packed_layout_unit(u));
-    }
     let g = graph::Graph::build(&units);
-    raw.extend(lints::cfg_gate_consistency(&units, &g));
     // With a single compilation unit there is no possible external
     // consumer, so dead-pub-api would flag everything `pub`; it only means
     // something over a multi-unit workspace.

@@ -3,9 +3,8 @@
 //! Each pass takes the full set of lexed+parsed [`Unit`]s (cross-file,
 //! because a struct and its `impl Fingerprint` may live in different files)
 //! and returns raw diagnostics; the engine applies `#[cfg(test)]` filtering
-//! and exemption suppression afterwards. The cross-file passes
-//! (`cfg-gate-consistency`, `dead-pub-api`) run as queries over the
-//! [`Graph`] built in pass 1; `packed-layout` lives in [`crate::packed`].
+//! and exemption suppression afterwards. The cross-file `dead-pub-api`
+//! pass runs as a query over the [`Graph`] built in pass 1.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -498,52 +497,6 @@ pub fn determinism(units: &[Unit]) -> Vec<Diagnostic> {
                     format!("{label} reads the wall clock; results must not depend on it"),
                 ));
             }
-        }
-    }
-    diags
-}
-
-/// **cfg-gate-consistency** — a symbol defined only behind the `obs`
-/// feature must not be referenced from unconditionally-compiled code, in
-/// any crate: that is exactly the class of break a plain `cargo build`
-/// (without `--features obs`) hits. Symbols that also have an
-/// unconditional definition (the `#[cfg(not(feature = "obs"))]` twin
-/// pattern) are safe from every site. Resolution is visibility-aware: a
-/// definition inside a test/bench/bin compilation unit is only visible to
-/// reference sites in that same unit, so a test-local helper cannot gate a
-/// same-named local variable in another crate.
-pub fn cfg_gate_consistency(units: &[Unit], graph: &Graph) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (name, ids) in &graph.by_name {
-        if ids.iter().all(|&i| graph.symbols[i].gate != Gate::Obs) {
-            continue;
-        }
-        let Some(sites) = graph.refs.get(name) else { continue };
-        for site in sites {
-            if site.gate != Gate::Unconditional {
-                continue;
-            }
-            let site_key = &units[site.unit].unit_key;
-            let visible = |i: &&usize| {
-                let sym = &graph.symbols[**i];
-                let key = &units[sym.unit].unit_key;
-                key.starts_with("crate:") || key == site_key
-            };
-            let any_obs = ids.iter().filter(visible).any(|&i| graph.symbols[i].gate == Gate::Obs);
-            let any_uncond =
-                ids.iter().filter(visible).any(|&i| graph.symbols[i].gate == Gate::Unconditional);
-            if !any_obs || any_uncond {
-                continue;
-            }
-            diags.push(Diagnostic::new(
-                &units[site.unit].path,
-                site.line,
-                "cfg-gate-consistency",
-                format!(
-                    "`{name}` is defined only behind the `obs` feature but is referenced from \
-                     code compiled without it"
-                ),
-            ));
         }
     }
     diags

@@ -32,15 +32,12 @@ invariants:
                         vice versa), pairing across crates; `// lint:
                         json-reader(<Type>)` binds a one-directional reader
                         to <Type>'s to_json keys
+  bin-roundtrip         an encode_<x>/decode_<x> pair references the same
+                        layout constants on both sides
   obs-gate              attribution types in rsep-uarch stay behind obs! /
                         #[cfg(feature = \"obs\")]
-  cfg-gate-consistency  symbols defined only behind the obs feature are not
-                        referenced from unconditionally-compiled code
   dead-pub-api          pub items in library trees have at least one inbound
                         reference from another workspace compilation unit
-  packed-layout         pack/unpack bitfield clusters: field spans are
-                        pairwise disjoint, fit the packed word, and pack and
-                        unpack agree on each field's width
   determinism           SystemTime::now / Instant::now / HashMap / HashSet
                         (bare, fully-qualified or `use ... as` aliased)
                         need an explicit justification

@@ -1,10 +1,9 @@
 //! Item-level parse over the token stream.
 //!
 //! Extracts what the lints need and nothing more: structs with named
-//! fields, `impl` blocks with their methods, free functions (with enough
-//! signature detail — visibility, parameter and return types — for the
-//! symbol graph and the `packed-layout` pass), `const` definitions with
-//! their value token ranges, enum/trait/type-alias names, `#[cfg(test)]`
+//! fields, `impl` blocks with their methods, free functions (name,
+//! visibility and body range), `const` definitions, enum/trait/type-alias
+//! names, `#[cfg(test)]`
 //! line ranges (excluded from every lint), and the obs-gated token spans
 //! (`obs! { ... }` invocations, items under `#[cfg(feature = "obs")]`, and
 //! files under `#![cfg(feature = "obs")]`). `macro_rules!` bodies are
@@ -36,22 +35,10 @@ pub struct StructDef {
     pub fields: Vec<Field>,
 }
 
-/// One function parameter.
-#[derive(Debug)]
-pub struct Param {
-    /// Binding name (`self` parameters are not recorded).
-    pub name: String,
-    /// Last identifier of the declared type (`u32`, `Json`, ...).
-    pub ty: String,
-    /// The declared type is a single bare identifier (no `&`, generics or
-    /// paths) — the only form the `packed-layout` width rules trust.
-    pub simple_ty: bool,
-}
-
 /// A function with an optional body given as a `start..end` token index
 /// range (exclusive of the closing brace).
 #[derive(Debug)]
-pub struct FnDef {
+pub(crate) struct FnDef {
     /// Function name.
     pub name: String,
     /// 1-based line of the name token.
@@ -60,34 +47,21 @@ pub struct FnDef {
     pub tok: usize,
     /// `pub` without a restriction.
     pub is_pub: bool,
-    /// Parameters in declaration order (without `self`).
-    pub params: Vec<Param>,
-    /// The signature has a `self` receiver (the function is a method).
-    pub has_self: bool,
-    /// Return type, when it is a single bare identifier (`-> u32`).
-    pub ret: Option<String>,
     /// Body token range, `None` for bodyless declarations.
     pub body: Option<(usize, usize)>,
 }
 
-/// A `const` definition with its value token range (for the
-/// `packed-layout` const evaluator).
+/// A `const` definition.
 #[derive(Debug)]
 pub struct ConstDef {
     /// Constant name.
     pub name: String,
-    /// 1-based line of the name token.
-    pub line: usize,
     /// Token index of the name token.
     pub tok: usize,
     /// `pub` without a restriction.
     pub is_pub: bool,
     /// Defined at brace depth 0 (module top level).
     pub top_level: bool,
-    /// Last identifier of the declared type (`u32`, `u64`, ...).
-    pub ty: String,
-    /// Value token range between `=` and the terminating `;`.
-    pub val: (usize, usize),
 }
 
 /// A named item the lints only need by name: enums, traits, type aliases.
@@ -113,7 +87,7 @@ pub struct ImplDef {
     /// Last path segment of the implementing type.
     pub type_name: String,
     /// Functions defined directly in the block.
-    pub fns: Vec<FnDef>,
+    pub(crate) fns: Vec<FnDef>,
 }
 
 /// Everything the lints need from one file.
@@ -124,7 +98,7 @@ pub struct ParsedFile {
     /// `impl` blocks, in source order.
     pub impls: Vec<ImplDef>,
     /// Free (non-impl) functions, including trait-declaration methods.
-    pub free_fns: Vec<FnDef>,
+    pub(crate) free_fns: Vec<FnDef>,
     /// `const` definitions anywhere in the file, in source order.
     pub consts: Vec<ConstDef>,
     /// Enum, trait and type-alias declarations, in source order.
@@ -345,7 +319,6 @@ fn parse_const(toks: &[Token], i: usize, top_level: bool) -> Option<(ConstDef, u
         return None;
     }
     let mut j = i + 3;
-    let mut ty = String::new();
     let mut depth = 0i32;
     while j < toks.len() {
         match &toks[j].kind {
@@ -356,7 +329,6 @@ fn parse_const(toks: &[Token], i: usize, top_level: bool) -> Option<(ConstDef, u
             TokKind::Punct('<' | '[' | '(') => depth += 1,
             TokKind::Punct(']' | ')') => depth -= 1,
             TokKind::Punct('>') if !punct_at(toks, j - 1, '-') => depth -= 1,
-            TokKind::Ident(s) => ty = s.clone(),
             _ => {}
         }
         j += 1;
@@ -364,8 +336,7 @@ fn parse_const(toks: &[Token], i: usize, top_level: bool) -> Option<(ConstDef, u
     if j >= toks.len() {
         return None;
     }
-    let val_start = j + 1;
-    let mut k = val_start;
+    let mut k = j + 1;
     let mut vdepth = 0i32;
     while k < toks.len() {
         match &toks[k].kind {
@@ -376,18 +347,7 @@ fn parse_const(toks: &[Token], i: usize, top_level: bool) -> Option<(ConstDef, u
         }
         k += 1;
     }
-    Some((
-        ConstDef {
-            name,
-            line: toks[i + 1].line,
-            tok: i + 1,
-            is_pub: pub_before(toks, i),
-            top_level,
-            ty,
-            val: (val_start, k),
-        },
-        k + 1,
-    ))
+    Some((ConstDef { name, tok: i + 1, is_pub: pub_before(toks, i), top_level }, k + 1))
 }
 
 /// Full-stream scan for `#[cfg(test)]` line ranges and obs-gated token
@@ -574,59 +534,6 @@ fn parse_struct(toks: &[Token], i: usize) -> Option<(StructDef, usize)> {
     Some((StructDef { name, line, tok, is_pub, fields }, after))
 }
 
-/// Parses the parameter list tokens (between the signature parens) into
-/// [`Param`]s plus a "has `self` receiver" flag. `self` receivers are not
-/// recorded as parameters.
-fn parse_params(toks: &[Token]) -> (Vec<Param>, bool) {
-    let mut params = Vec::new();
-    let mut has_self = false;
-    let mut depth = 0i32;
-    let mut start = 0usize;
-    let mut slices = Vec::new();
-    for (k, t) in toks.iter().enumerate() {
-        match &t.kind {
-            TokKind::Punct('(' | '[') => depth += 1,
-            TokKind::Punct(')' | ']') => depth -= 1,
-            TokKind::Punct('<') => depth += 1,
-            TokKind::Punct('>') if k > 0 && !is_punct(&toks[k - 1], '-') => depth -= 1,
-            TokKind::Punct(',') if depth == 0 => {
-                slices.push(&toks[start..k]);
-                start = k + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < toks.len() {
-        slices.push(&toks[start..]);
-    }
-    for slice in slices {
-        let mut k = 0usize;
-        while k < slice.len()
-            && (is_punct(&slice[k], '&')
-                || is_ident(&slice[k], "mut")
-                || matches!(slice[k].kind, TokKind::Lifetime))
-        {
-            k += 1;
-        }
-        let Some(name) = slice.get(k).and_then(as_ident) else { continue };
-        if name == "self" {
-            has_self = true;
-            continue;
-        }
-        let name = name.to_string();
-        if !punct_at(slice, k + 1, ':') {
-            continue;
-        }
-        let ty_toks = &slice[k + 2..];
-        let ty = ty_toks.iter().rev().find_map(|t| as_ident(t)).unwrap_or("").to_string();
-        let simple_ty = ty_toks.len() == 1 && matches!(ty_toks[0].kind, TokKind::Ident(_));
-        if !ty.is_empty() {
-            params.push(Param { name, ty, simple_ty });
-        }
-    }
-    (params, has_self)
-}
-
 /// Parses `fn name(...) ... { body }` (or `...;`) starting at `fn`.
 fn parse_fn(toks: &[Token], i: usize) -> Option<(FnDef, usize)> {
     let name = ident_at(toks, i + 1)?.to_string();
@@ -640,22 +547,10 @@ fn parse_fn(toks: &[Token], i: usize) -> Option<(FnDef, usize)> {
     if !punct_at(toks, j, '(') {
         return None;
     }
-    let params_start = j + 1;
     j = skip_balanced(toks, j, '(', ')');
-    let (params, has_self) = parse_params(&toks[params_start..j.saturating_sub(1)]);
-    // Return type and `where` clause up to the body or `;`.
-    let ret_start = j;
-    let mut ret_end = j;
+    // Skip the return type and `where` clause up to the body or `;`.
     let (mut paren, mut brack, mut angle) = (0i32, 0i32, 0i32);
     while j < toks.len() {
-        if paren == 0
-            && brack == 0
-            && angle == 0
-            && is_ident(&toks[j], "where")
-            && ret_end == ret_start
-        {
-            ret_end = j;
-        }
         if let TokKind::Punct(c) = toks[j].kind {
             match c {
                 '(' => paren += 1,
@@ -666,10 +561,7 @@ fn parse_fn(toks: &[Token], i: usize) -> Option<(FnDef, usize)> {
                 '>' if !punct_at(toks, j - 1, '-') && angle > 0 => angle -= 1,
                 '{' if paren == 0 && brack == 0 && angle == 0 => break,
                 ';' if paren == 0 && brack == 0 && angle == 0 => {
-                    let end = if ret_end == ret_start { j } else { ret_end };
-                    let ret = simple_ret(toks, ret_start, end);
-                    let f = FnDef { name, line, tok, is_pub, params, has_self, ret, body: None };
-                    return Some((f, j + 1));
+                    return Some((FnDef { name, line, tok, is_pub, body: None }, j + 1));
                 }
                 _ => {}
             }
@@ -679,20 +571,9 @@ fn parse_fn(toks: &[Token], i: usize) -> Option<(FnDef, usize)> {
     if j >= toks.len() {
         return None;
     }
-    let end = if ret_end == ret_start { j } else { ret_end };
-    let ret = simple_ret(toks, ret_start, end);
     let after = skip_balanced(toks, j, '{', '}');
     let body = Some((j + 1, after.saturating_sub(1)));
-    Some((FnDef { name, line, tok, is_pub, params, has_self, ret, body }, after))
-}
-
-/// `Some(T)` when the tokens in `start..end` are exactly `-> T` with `T` a
-/// bare identifier — the only return form the `packed-layout` pass trusts.
-fn simple_ret(toks: &[Token], start: usize, end: usize) -> Option<String> {
-    if end != start + 3 || !punct_at(toks, start, '-') || !punct_at(toks, start + 1, '>') {
-        return None;
-    }
-    ident_at(toks, start + 2).map(str::to_string)
+    Some((FnDef { name, line, tok, is_pub, body }, after))
 }
 
 /// Parses `impl [<..>] [Trait for] Type [where ..] { fns }` starting at

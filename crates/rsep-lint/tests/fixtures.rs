@@ -246,38 +246,6 @@ fn determinism_alias_pins_the_renamed_sources() {
 }
 
 #[test]
-fn packed_bad_pins_overlap_and_width_disagreement() {
-    assert_eq!(
-        run("packed_bad.rs", "fixture"),
-        [
-            "fixtures/packed_bad.rs:4: packed-layout: `tag` (bits 0..16) and `CTR_SHIFT` (bits \
-             14..17) of the u32 packed word overlap",
-            "fixtures/packed_bad.rs:4: packed-layout: pack writes 3 bits at bit 14 of the u32 \
-             word but `CTR_SHIFT` reads 2",
-        ]
-    );
-}
-
-#[test]
-fn packed_exempted_twin_is_clean() {
-    assert_eq!(run("packed_exempt.rs", "fixture"), [] as [&str; 0]);
-}
-
-#[test]
-fn cfg_gate_bad_pins_the_ungated_call() {
-    assert_eq!(
-        run("cfg_gate_bad.rs", "fixture"),
-        ["fixtures/cfg_gate_bad.rs:10: cfg-gate-consistency: `obs_only_helper` is defined only \
-          behind the `obs` feature but is referenced from code compiled without it"]
-    );
-}
-
-#[test]
-fn cfg_gate_twin_definition_is_clean() {
-    assert_eq!(run("cfg_gate_twin.rs", "fixture"), [] as [&str; 0]);
-}
-
-#[test]
 fn exclusion_audit_bad_pins_all_three_broken_proofs() {
     assert_eq!(
         run("exclusion_audit_bad.rs", "fixture"),

@@ -1,6 +1,6 @@
 //! Saturating and probabilistic confidence counters.
 //!
-//! The paper (following Perais & Seznec [7] and Riley & Zilles [32]) uses
+//! The paper (following Perais & Seznec \[7\] and Riley & Zilles \[32\]) uses
 //! 3-bit *probabilistic* confidence counters: each successful prediction
 //! only increments the counter with a small probability, so a 3-bit counter
 //! behaves like a much wider one (the paper trains for ~255 occurrences

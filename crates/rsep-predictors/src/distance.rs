@@ -494,6 +494,33 @@ mod tests {
     use crate::counters::ProbabilisticCounter;
 
     #[test]
+    fn entry_packing_round_trips() {
+        let confs = [0u8, 1, 0x7f, 0x80, u8::MAX];
+        for tag in [0u32, 1, u32::MAX] {
+            for dist in [0u16, 1, NO_DISTANCE] {
+                for conf in confs {
+                    for useful in [false, true] {
+                        let packed = t_pack(tag, dist, conf, useful);
+                        assert_eq!(t_tag(packed), tag);
+                        assert_eq!(t_dist(packed), dist);
+                        assert_eq!(t_conf(packed), conf & 0x7f);
+                        assert_eq!(packed & T_USEFUL != 0, useful);
+                    }
+                }
+            }
+        }
+        assert_eq!((t_tag(FRESH_TAGGED), t_dist(FRESH_TAGGED)), (u32::MAX, NO_DISTANCE));
+        assert_eq!((t_conf(FRESH_TAGGED), FRESH_TAGGED & T_USEFUL), (0, 0));
+        for dist in [0u16, 1, NO_DISTANCE] {
+            for conf in confs {
+                let packed = b_pack(dist, conf);
+                assert_eq!((b_dist(packed), b_conf(packed)), (dist, conf));
+            }
+        }
+        assert_eq!((b_dist(FRESH_BASE), b_conf(FRESH_BASE)), (NO_DISTANCE, 0));
+    }
+
+    #[test]
     fn storage_matches_paper_figures() {
         let ideal = DistancePredictorConfig::ideal();
         let realistic = DistancePredictorConfig::realistic();

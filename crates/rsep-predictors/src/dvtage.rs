@@ -1,10 +1,10 @@
-//! D-VTAGE value predictor (Perais & Seznec, HPCA 2015 — reference [6]).
+//! D-VTAGE value predictor (Perais & Seznec, HPCA 2015 — reference \[6\]).
 //!
 //! D-VTAGE is the state-of-the-art value predictor the paper compares RSEP
 //! against. It combines a last-value table (the base component) with
 //! TAGE-like tagged components that store *strides* relative to the last
 //! value, indexed by PC and global branch history. The paper's VP
-//! configuration uses "the parameters given in [6] (amounting to a roughly
+//! configuration uses "the parameters given in \[6\] (amounting to a roughly
 //! 256KB D-VTAGE predictor)".
 //!
 //! As in the paper's VP baseline, validation happens at commit and a
@@ -423,6 +423,23 @@ impl ValuePredictor<ValuePrediction> for Dvtage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn entry_packing_round_trips() {
+        for tag in [0u32, 1, u32::MAX] {
+            for conf in [0u8, 1, 0x3f, 0x40, u8::MAX] {
+                for valid in [false, true] {
+                    for useful in [false, true] {
+                        let packed = t_pack(tag, conf, valid, useful);
+                        assert_eq!(t_tag(packed), tag);
+                        assert_eq!(t_conf(packed), conf & 0x3f);
+                        assert_eq!(packed & T_VALID != 0, valid);
+                        assert_eq!(packed & T_USEFUL != 0, useful);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn storage_is_roughly_256kb() {

@@ -22,7 +22,7 @@
 //! # Multi-step advances are O(1) per lane
 //!
 //! A folded image is linear over GF(2): lane state is an element of
-//! GF(2)[x]/(x^L + 1) (L = `comp_len`), and one [`FoldStateSoa::advance`]
+//! `GF(2)[x]/(x^L + 1)` (L = `comp_len`), and one [`FoldStateSoa::advance`]
 //! step computes exactly `s' = x·s + i + e·x^outpoint` — the shift-left is
 //! the multiplication by `x`, the `comp >> comp_len` fold is the reduction
 //! of the overflow bit modulo `x^L + 1`, and `inserted`/`evicted` land at

@@ -12,7 +12,7 @@
 //!   conditional branch's TAGE probe set (flat index + partial tag per
 //!   tagged component) against the history as of that branch *without
 //!   mutating any state*: per-branch fold values come from the O(1)
-//!   closed form ([`FoldStateSoa::virtual_value`] via
+//!   closed form ([`FoldStateSoa::virtual_value`](crate::FoldStateSoa::virtual_value) via
 //!   [`Tage::gather_block_probes_at`]) and the path bits from a local
 //!   virtual path register. **Probe** then reads all gathered entries
 //!   component-major, visiting each tagged table once per block;

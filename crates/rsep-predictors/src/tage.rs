@@ -3,7 +3,7 @@
 //! The Table I front end uses a TAGE predictor with one base (bimodal)
 //! component plus 12 partially-tagged components totalling about 15K
 //! entries, with a minimum misprediction penalty of 17 cycles. This module
-//! implements a standard TAGE [31]: geometric history lengths, partial tags,
+//! implements a standard TAGE \[31\]: geometric history lengths, partial tags,
 //! useful bits, and allocation on mispredictions.
 //!
 //! Storage is one flat array of packed entry words across all tagged
@@ -229,7 +229,7 @@ impl Tage {
     }
 
     /// Number of tagged components — the number of probe lanes per branch
-    /// that [`Tage::gather_block_probes`] fills.
+    /// that [`Tage::gather_block_probes_at`] fills.
     #[inline]
     pub fn num_tagged(&self) -> usize {
         self.config.num_tagged
@@ -360,7 +360,7 @@ impl Tage {
 
     /// Reads the probed entry words for `branches` gathered branches.
     /// `idx` and `out` are slot-major (`slot * num_tagged + comp`, as laid
-    /// out by per-slot [`Tage::gather_block_probes`] calls), but the walk
+    /// out by per-slot [`Tage::gather_block_probes_at`] calls), but the walk
     /// is component-major: all of component 0's slots, then component 1's,
     /// … — so each tagged table is probed once per block with its accesses
     /// adjacent instead of being re-visited per branch.
@@ -411,7 +411,7 @@ impl Tage {
     }
 
     /// [`Predictor::train`] against gathered indices and tags (each
-    /// [`Tage::num_tagged`] long, as written by [`Tage::gather_block_probes`]
+    /// [`Tage::num_tagged`] long, as written by [`Tage::gather_block_probes_at`]
     /// for this branch — `train` recomputes the very same values, so no
     /// history is needed here). The provider counter/useful update is
     /// reported through `patched(component, flat_index, new_word)` so the
@@ -729,6 +729,19 @@ mod tests {
         assert_eq!(entry_tag(NEW_ENTRY), 0);
         assert_eq!(entry_ctr(NEW_ENTRY), 0);
         assert_eq!(entry_useful(NEW_ENTRY), 0);
+    }
+
+    #[test]
+    fn entry_packing_fields_are_disjoint() {
+        // Each field's footprint is what `pack_entry` writes when only that
+        // field is all-ones (the biased counter's zero is `-CTR_BIAS`).
+        let tag = pack_entry(u16::MAX, -CTR_BIAS, 0);
+        let ctr = pack_entry(0, 3, 0);
+        let useful = pack_entry(0, -CTR_BIAS, 3);
+        assert_eq!([tag.count_ones(), ctr.count_ones(), useful.count_ones()], [16, 3, 2]);
+        assert_eq!(tag & ctr, 0, "tag and counter overlap");
+        assert_eq!(tag & useful, 0, "tag and useful overlap");
+        assert_eq!(ctr & useful, 0, "counter and useful overlap");
     }
 
     #[test]

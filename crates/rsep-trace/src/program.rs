@@ -1,7 +1,7 @@
 //! Synthetic static programs.
 //!
 //! A [`StaticProgram`] is a loop nest of [`StaticInst`]s synthesised from a
-//! [`BenchmarkProfile`](crate::BenchmarkProfile). Each static instruction
+//! [`BenchmarkProfile`]. Each static instruction
 //! carries the behaviour models that govern the dynamic stream it produces
 //! (see [`crate::behavior`]). The program is executed by the
 //! [`TraceGenerator`](crate::TraceGenerator): each inner loop body is

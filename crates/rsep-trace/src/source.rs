@@ -5,7 +5,7 @@
 //! the metadata the trace tooling needs — where the stream comes from
 //! (for headers and diagnostics) and, when known, how many instructions
 //! remain (for progress reporting and pre-sizing). Both the live
-//! [`TraceGenerator`](crate::TraceGenerator) and the `rsep-tracefile`
+//! [`TraceGenerator`] and the `rsep-tracefile`
 //! reader implement it, which is what lets `rsep trace record` drain any
 //! source into a file and `rsep trace replay` drive the core from one
 //! interchangeably.

@@ -30,7 +30,7 @@
 //! layout cannot be recovered from the file. The translation is
 //! behaviour-preserving by construction: it is a bijection (equalities,
 //! store-to-load aliasing and reference strides are unchanged) that
-//! keeps the low [`ANON_BLOCK_BITS`] address bits intact, which covers
+//! keeps the low `ANON_BLOCK_BITS` address bits intact, which covers
 //! the line offset and set index of every cache level in the Table I
 //! hierarchy, so hit/miss behaviour — and therefore `SimStats` — is
 //! bit-identical to the unanonymised stream. Instruction PCs are *not*
@@ -65,7 +65,7 @@ const CHUNK_END: u8 = 0;
 /// (L3: 4096 sets x 64-byte lines), so translating by a multiple of it
 /// cannot change any set mapping.
 const ANON_BLOCK_BITS: u32 = 18;
-/// [`ANON_BLOCK_BITS`] as a byte count.
+/// `ANON_BLOCK_BITS` as a byte count.
 pub const ANON_BLOCK_BYTES: u64 = 1 << ANON_BLOCK_BITS;
 
 /// How data addresses were transformed when the trace was recorded.
@@ -147,7 +147,7 @@ pub struct SegmentMeta {
 pub enum TraceError {
     /// An underlying I/O failure (message stringified for comparability).
     Io(String),
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with the `MAGIC` bytes.
     BadMagic,
     /// The file's major format version differs from [`FORMAT_MAJOR`].
     UnsupportedMajor(u16),
@@ -372,7 +372,7 @@ pub fn decode_header(bytes: &[u8], pos: &mut usize) -> Result<TraceHeader, Trace
 }
 
 /// Serialises the footer and trailer: segment table, table length,
-/// payload checksum and [`END_MAGIC`].
+/// payload checksum and `END_MAGIC`.
 pub fn encode_footer(segments: &[SegmentMeta], checksum: u64) -> Vec<u8> {
     let mut table = Vec::new();
     write_varint(&mut table, segments.len() as u64);

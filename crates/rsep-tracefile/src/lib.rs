@@ -9,7 +9,7 @@
 //!
 //! Layer map:
 //!
-//! - [`format`] — the on-disk layout: magic, versioned header chunks,
+//! - [`format`](mod@format) — the on-disk layout: magic, versioned header chunks,
 //!   segment table, checksum trailer, forward-compat policy, keyed
 //!   address anonymisation.
 //! - [`writer`] / [`reader`] — streaming [`TraceWriter`] and validated
@@ -17,9 +17,9 @@
 //!   implement [`TraceSource`](rsep_trace::TraceSource).
 //! - [`record`] — the one shared recipe turning a benchmark profile into
 //!   a recorded file with the live runner's seed derivation.
-//! - [`analyze`] — behaviour-distribution reports (op mix, branch rates,
+//! - [`analyze`](mod@analyze) — behaviour-distribution reports (op mix, branch rates,
 //!   value locality, working sets) in text or byte-stable JSON.
-//! - [`sha256`] — digest for the frozen corpus manifest.
+//! - [`sha256`](mod@sha256) — digest for the frozen corpus manifest.
 //!
 //! Instruction records are delta-encoded varint packs
 //! ([`rsep_isa::codec`]); a smoke-sized checkpoint costs a handful of

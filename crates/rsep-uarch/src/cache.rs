@@ -6,7 +6,7 @@
 //! in Table I. Port and MSHR contention are not modelled (documented
 //! simplification in `DESIGN.md`); latency and hit/miss behaviour are.
 //!
-//! # Storage layout and batching
+//! # Storage layout and access order
 //!
 //! Cache arrays are struct-of-arrays: one flat tag array and one packed
 //! `valid|LRU` word array per level, indexed `set * assoc + way`. An
@@ -17,13 +17,10 @@
 //! retained for one PR as `CacheLayout::Nested` and retired after the PR 4
 //! equivalence proofs.)
 //!
-//! The hierarchy also exposes a batched entry point,
-//! [`CacheHierarchy::access_batch`], which the core calls once per cycle
-//! per stage with every load/store/ifetch of that cycle instead of making
-//! one `access_data`/`access_inst` call per instruction. Requests resolve
-//! strictly in the order given: LRU updates, fills, evictions and
-//! prefetches are all state-dependent, so in-order resolution is exactly
-//! what makes the batched path bit-identical to the per-access one (see
+//! The core makes one [`CacheHierarchy::access_data`] call per issued load
+//! or store, in issue order, and one [`CacheHierarchy::access_inst`] call
+//! per fetched i-cache block, in fetch order. Order is observable: LRU
+//! updates, fills, evictions and prefetches are all state-dependent (see
 //! `DESIGN.md`).
 
 use crate::config::CoreConfig;
@@ -285,8 +282,9 @@ pub enum AccessKind {
     Fetch,
 }
 
-/// One memory access of the current cycle, resolved by
-/// [`CacheHierarchy::access_batch`].
+/// One recorded memory access: an address stream element that a replay
+/// feeds to [`CacheHierarchy::access_data`] or
+/// [`CacheHierarchy::access_inst`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// PC of the accessing instruction (drives the stride prefetcher; for
@@ -296,25 +294,22 @@ pub struct MemRequest {
     pub addr: u64,
     /// Demand access type.
     pub kind: AccessKind,
-    /// Resolved latency in cycles — an output, written by
-    /// [`CacheHierarchy::access_batch`].
-    pub latency: u64,
 }
 
 impl MemRequest {
     /// A demand load by the instruction at `pc`.
     pub fn load(pc: u64, addr: u64) -> MemRequest {
-        MemRequest { pc, addr, kind: AccessKind::Load, latency: 0 }
+        MemRequest { pc, addr, kind: AccessKind::Load }
     }
 
     /// A demand store (write allocate) by the instruction at `pc`.
     pub fn store(pc: u64, addr: u64) -> MemRequest {
-        MemRequest { pc, addr, kind: AccessKind::Store, latency: 0 }
+        MemRequest { pc, addr, kind: AccessKind::Store }
     }
 
     /// An instruction fetch of the block containing `pc`.
     pub fn fetch(pc: u64) -> MemRequest {
-        MemRequest { pc, addr: pc, kind: AccessKind::Fetch, latency: 0 }
+        MemRequest { pc, addr: pc, kind: AccessKind::Fetch }
     }
 }
 
@@ -371,27 +366,6 @@ impl CacheHierarchy {
                 None
             },
             l2_stream_prefetch: config.l2_prefetch,
-        }
-    }
-
-    /// Resolves one cycle's memory accesses, writing each request's
-    /// `latency`. This is the entry point the core's execute and fetch
-    /// stages use: one call per stage per cycle, instead of one
-    /// [`CacheHierarchy::access_data`]/[`CacheHierarchy::access_inst`] call
-    /// per instruction.
-    ///
-    /// Requests are resolved strictly in slice order. Order is observable —
-    /// an earlier fill can evict (or install) the line a later request
-    /// touches, LRU victims depend on every preceding update, and the
-    /// stride prefetcher trains on loads as they pass — so in-order
-    /// resolution is precisely what keeps this batched path bit-identical
-    /// to issuing the same accesses one call at a time.
-    pub fn access_batch(&mut self, requests: &mut [MemRequest], now: u64) {
-        for request in requests.iter_mut() {
-            request.latency = match request.kind {
-                AccessKind::Fetch => self.access_inst(request.addr, now),
-                kind => self.access_data(request.pc, request.addr, kind, now),
-            };
         }
     }
 
@@ -598,43 +572,6 @@ mod tests {
         c.fill(set0(2), 8, false);
         assert!(!c.probe(set0(0)), "tie must evict the first way");
         assert!(c.probe(set0(1)) && c.probe(set0(2)));
-    }
-
-    #[test]
-    fn batched_access_matches_per_access_resolution() {
-        // The same request stream, once through access_batch and once
-        // through individual calls, must produce identical latencies and
-        // identical end-state statistics.
-        let mut batched = hierarchy();
-        let mut single = hierarchy();
-        let mut state = 0xdead_beefu64;
-        for cycle in 0..2_000u64 {
-            let mut requests = Vec::new();
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            for i in 0..(state % 5) {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let pc = 0x40_0000 + (state % 64) * 4;
-                let addr = 0x1000_0000 + (state >> 12) % (256 * 1024);
-                requests.push(match state % 3 {
-                    0 => MemRequest::load(pc, addr),
-                    1 => MemRequest::store(pc, addr),
-                    _ => MemRequest::fetch(pc + i * 64),
-                });
-            }
-            let mut batch = requests.clone();
-            batched.access_batch(&mut batch, cycle);
-            for (request, resolved) in requests.iter().zip(&batch) {
-                let expected = match request.kind {
-                    AccessKind::Fetch => single.access_inst(request.addr, cycle),
-                    kind => single.access_data(request.pc, request.addr, kind, cycle),
-                };
-                assert_eq!(resolved.latency, expected, "cycle {cycle}: {request:?}");
-            }
-        }
-        for ((name_a, a), (name_b, b)) in batched.stats().iter().zip(single.stats().iter()) {
-            assert_eq!(name_a, name_b);
-            assert_eq!(a, b, "{name_a}: stats diverge between batched and per-access paths");
-        }
     }
 
     #[test]

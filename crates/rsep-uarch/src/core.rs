@@ -16,7 +16,7 @@
 
 #[cfg(feature = "obs")]
 use crate::attribution::{RenameBlock, StageAttribution};
-use crate::cache::{CacheHierarchy, MemRequest};
+use crate::cache::{AccessKind, CacheHierarchy};
 use crate::config::{CoreConfig, SchedulerKind};
 use crate::engine::{Disposition, RenameAction, RenameContext, SpecEngine, ValidationKind};
 use crate::regfile::{PhysRegFile, RegisterFiles, NOT_READY};
@@ -52,7 +52,7 @@ const WATCHDOG_DEADLOCK_CYCLES: u64 = 100_000;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The pipeline made no forward progress for
-    /// [`WATCHDOG_DEADLOCK_CYCLES`] despite watchdog recovery attempts.
+    /// `WATCHDOG_DEADLOCK_CYCLES` despite watchdog recovery attempts.
     Deadlock {
         /// Cycle at which the deadlock was declared.
         cycle: u64,
@@ -153,8 +153,6 @@ struct FetchMark {
     seq: u64,
     /// `fetch_queue.len()` after the branch was enqueued.
     queue_len: u32,
-    /// `mem_batch.len()` after the branch was enqueued.
-    mem_batch_len: u32,
     /// `fetch_pending.len()` after the branch was enqueued.
     fetch_pending_len: u32,
     /// `last_fetch_block` after the branch was enqueued.
@@ -377,16 +375,10 @@ pub struct Core<E: SpecEngine> {
     issued_scratch: Vec<InstSlot>,
     /// Reused buffer for draining per-register waiter lists on writeback.
     wake_scratch: Vec<InstSlot>,
-    /// The current cycle's memory accesses, handed to
-    /// [`CacheHierarchy::access_batch`] once per stage instead of one
-    /// hierarchy call per instruction.
-    mem_batch: Vec<MemRequest>,
-    /// Issued loads whose latency the batch resolves: `(slot, index into
-    /// mem_batch)`.
-    mem_loads: Vec<(InstSlot, u32)>,
-    /// Fetched instructions awaiting their i-cache latency: `(index into
-    /// fetch_queue, index into mem_batch)`.
-    fetch_pending: Vec<(usize, u32)>,
+    /// This cycle's fetched instructions that start a new i-cache block:
+    /// `(index into fetch_queue, pc)`. Their i-cache accesses wait until
+    /// the fetch block's branches are resolved (see [`Core::fetch_block`]).
+    fetch_pending: Vec<(usize, u64)>,
     /// Monotonic dispatch counter; tags scheduler entries so stale ones
     /// (left behind by a squash) are recognised and dropped lazily.
     dispatch_gen: u64,
@@ -402,7 +394,7 @@ pub struct Core<E: SpecEngine> {
     predict_requests: Vec<PredictRequest>,
     /// Per-request rollback marks: the fetch bookkeeping watermark right
     /// after the branch's instruction was enqueued (see
-    /// [`Core::fetch_batched`]).
+    /// [`Core::fetch_block`]).
     predict_marks: Vec<FetchMark>,
     fetch_resume_at: u64,
     pending_redirect: Option<u64>,
@@ -485,8 +477,6 @@ impl<E: SpecEngine> Core<E> {
             sched: WakeupQueue::new(),
             issued_scratch: Vec::new(),
             wake_scratch: Vec::new(),
-            mem_batch: Vec::new(),
-            mem_loads: Vec::new(),
             fetch_pending: Vec::new(),
             dispatch_gen: 0,
             pending_validations: Vec::new(),
@@ -625,7 +615,7 @@ impl<E: SpecEngine> Core<E> {
     /// Under [`SchedulerKind::EventDriven`], cycles in which no stage can
     /// act are not stepped: the clock jumps to the next event and the
     /// per-cycle counters are added in bulk (see
-    /// [`Core::skip_quiescent_cycles`]). The results are bit-identical to
+    /// `Core::skip_quiescent_cycles`). The results are bit-identical to
     /// stepping every cycle, which [`SchedulerKind::Polling`] still does.
     ///
     /// # Errors
@@ -1106,7 +1096,9 @@ impl<E: SpecEngine> Core<E> {
             self.sched.remove_ready_at(idx);
             issued.push(slot);
         }
-        self.apply_issues(&issued);
+        for &slot in &issued {
+            self.issue_inst(slot);
+        }
         obs! {
             self.classify_issue_cycle(
                 issued.len() as u64,
@@ -1190,8 +1182,10 @@ impl<E: SpecEngine> Core<E> {
         }
 
         // Apply the issue decisions (needs mutable access to several parts
-        // of `self`, hence the two-phase structure).
-        self.apply_issues(&issued);
+        // of `self`, hence the select-then-apply structure).
+        for &slot in &issued {
+            self.issue_inst(slot);
+        }
         obs! {
             self.classify_issue_cycle(
                 issued.len() as u64,
@@ -1204,48 +1198,10 @@ impl<E: SpecEngine> Core<E> {
         self.issued_scratch = issued;
     }
 
-    /// Applies one cycle's issue decisions, batching the cycle's cache
-    /// accesses into a single [`CacheHierarchy::access_batch`] call.
-    ///
-    /// Every per-instruction effect except the d-cache walk happens in
-    /// issue (age) order in the first pass — exactly the order the former
-    /// per-instruction path produced. Loads that neither forward from a
-    /// store nor skip the cache enqueue a [`MemRequest`] instead; the batch
-    /// resolves those in the same order, and a final pass assigns the
-    /// completion cycles and performs the deferred writeback wakeups.
-    /// Nothing issued in the same cycle observes a load's completion cycle
-    /// between those passes, so the reordering is invisible — see
-    /// `DESIGN.md` for the argument.
-    fn apply_issues(&mut self, issued: &[InstSlot]) {
-        debug_assert!(self.mem_batch.is_empty() && self.mem_loads.is_empty());
-        for &slot in issued {
-            self.begin_issue(slot);
-        }
-        if !self.mem_batch.is_empty() {
-            let clock = self.clock;
-            self.hierarchy.access_batch(&mut self.mem_batch, clock);
-            let loads = std::mem::take(&mut self.mem_loads);
-            for &(slot, request_idx) in &loads {
-                let latency = self.mem_batch[request_idx as usize].latency;
-                obs! {
-                    if latency > self.config.l1d_latency {
-                        self.attribution.work.load_misses += 1;
-                        self.miss_outstanding_until =
-                            self.miss_outstanding_until.max(clock + latency);
-                    }
-                }
-                self.finish_load_issue(slot, clock + latency);
-            }
-            self.mem_loads = loads;
-            self.mem_loads.clear();
-            self.mem_batch.clear();
-        }
-    }
-
-    /// First-pass half of issuing one instruction (see
-    /// [`Core::apply_issues`]): everything except resolving a load's cache
-    /// latency.
-    fn begin_issue(&mut self, slot: InstSlot) {
+    /// Issues one selected instruction: resolves its completion cycle
+    /// (a load's through store-to-load forwarding or the d-cache, in issue
+    /// order), marks it issued and wakes its dependents.
+    fn issue_inst(&mut self, slot: InstSlot) {
         let clock = self.clock;
         let entry = self.rob.get(slot).expect("issued instruction must be in the ROB");
         let op = entry.inst.op;
@@ -1261,7 +1217,6 @@ impl<E: SpecEngine> Core<E> {
                 self.attribution.work.stores_issued += 1;
             }
         }
-        // `None` means "a batched cache access resolves it".
         let complete_at = match op {
             OpClass::Load => {
                 let m = mem.expect("loads carry an address");
@@ -1277,12 +1232,19 @@ impl<E: SpecEngine> Core<E> {
                 match forwarding {
                     Some(store_ready) => {
                         self.stats.stlf_forwards += 1;
-                        Some(store_ready.max(clock) + self.config.stlf_latency)
+                        store_ready.max(clock) + self.config.stlf_latency
                     }
                     None => {
-                        self.mem_loads.push((slot, self.mem_batch.len() as u32));
-                        self.mem_batch.push(MemRequest::load(pc, m.addr));
-                        None
+                        let latency =
+                            self.hierarchy.access_data(pc, m.addr, AccessKind::Load, clock);
+                        obs! {
+                            if latency > self.config.l1d_latency {
+                                self.attribution.work.load_misses += 1;
+                                self.miss_outstanding_until =
+                                    self.miss_outstanding_until.max(clock + latency);
+                            }
+                        }
+                        clock + latency
                     }
                 }
             }
@@ -1290,20 +1252,18 @@ impl<E: SpecEngine> Core<E> {
                 if let Some(m) = mem {
                     // Stores probe the cache for the write allocate but do
                     // not delay commit on it: the latency is discarded.
-                    self.mem_batch.push(MemRequest::store(pc, m.addr));
+                    self.hierarchy.access_data(pc, m.addr, AccessKind::Store, clock);
                 }
-                Some(clock + 1)
+                clock + 1
             }
-            _ => Some(clock + u64::from(op.base_latency())),
+            _ => clock + u64::from(op.base_latency()),
         };
 
-        if let Some(complete_at) = complete_at {
-            if op == OpClass::IntDiv {
-                self.div_busy_until = complete_at;
-            }
-            if op == OpClass::FpDiv {
-                self.fpdiv_busy_until = complete_at;
-            }
+        if op == OpClass::IntDiv {
+            self.div_busy_until = complete_at;
+        }
+        if op == OpClass::FpDiv {
+            self.fpdiv_busy_until = complete_at;
         }
 
         let needs_validation;
@@ -1312,40 +1272,24 @@ impl<E: SpecEngine> Core<E> {
             let entry = self.rob.get_mut(slot).expect("issued instruction must be in the ROB");
             entry.issued = true;
             entry.in_iq = false;
-            if let Some(complete_at) = complete_at {
-                entry.complete_at = complete_at;
-            }
+            entry.complete_at = complete_at;
             needs_validation = entry.needs_validation_issue;
             dest_to_mark = entry.wakeup_dest();
         }
         self.iq_count -= 1;
-        if let Some(complete_at) = complete_at {
-            if let Some(preg) = dest_to_mark {
-                self.set_ready_and_wake(preg, complete_at);
-            }
-            if op == OpClass::Store && mem.is_some() {
-                // The store's data is now en route: loads parked on it
-                // resume.
-                for w in self.store_queue.mark_issued(seq, complete_at) {
-                    self.sched.insert_ready(w);
-                }
+        if let Some(preg) = dest_to_mark {
+            self.set_ready_and_wake(preg, complete_at);
+        }
+        if op == OpClass::Store && mem.is_some() {
+            // The store's data is now en route: loads parked on it resume.
+            for w in self.store_queue.mark_issued(seq, complete_at) {
+                self.sched.insert_ready(w);
             }
         }
         if let Some(kind) = needs_validation {
             if kind != ValidationKind::Free {
                 self.pending_validations.push(PendingValidation { ready_at: clock + 1, kind, op });
             }
-        }
-    }
-
-    /// Second-pass half of issuing a load whose latency came from the
-    /// batched cache walk: assign the completion cycle and wake dependents.
-    fn finish_load_issue(&mut self, slot: InstSlot, complete_at: u64) {
-        let entry = self.rob.get_mut(slot).expect("batched load cannot leave the ROB mid-cycle");
-        entry.complete_at = complete_at;
-        let dest_to_mark = entry.wakeup_dest();
-        if let Some(preg) = dest_to_mark {
-            self.set_ready_and_wake(preg, complete_at);
         }
     }
 
@@ -1626,7 +1570,7 @@ impl<E: SpecEngine> Core<E> {
             }
             return;
         }
-        debug_assert!(self.mem_batch.is_empty() && self.fetch_pending.is_empty());
+        debug_assert!(self.fetch_pending.is_empty());
         #[cfg(feature = "obs")]
         let queue_len_before = self.fetch_queue.len();
         #[cfg(feature = "obs")]
@@ -1659,12 +1603,12 @@ impl<E: SpecEngine> Core<E> {
     /// the first misprediction. The batched schedule was proven
     /// bit-identical to a per-branch table walk by the golden-stats and
     /// oracle tests before the sequential reference path was retired.
-    /// Instructions enqueued past a mispredicted branch are unwound: until
-    /// the block's i-cache batch resolves at the end of the fetch stage,
-    /// nothing they did has left the fetch stage's own buffers, so popping
-    /// them back into the replay queue and truncating the batch restores
-    /// exactly the state a per-branch loop would have produced (see
-    /// `DESIGN.md`).
+    /// Instructions enqueued past a mispredicted branch are unwound: their
+    /// i-cache accesses wait in `fetch_pending` until the end of the fetch
+    /// stage, so nothing they did has left the fetch stage's own buffers,
+    /// and popping them back into the replay queue and truncating
+    /// `fetch_pending` restores exactly the state a per-branch loop would
+    /// have produced (see `DESIGN.md`).
     fn fetch_block(&mut self, trace: &mut impl Iterator<Item = DynInst>) {
         let mut requests = std::mem::take(&mut self.predict_requests);
         let mut marks = std::mem::take(&mut self.predict_marks);
@@ -1695,7 +1639,6 @@ impl<E: SpecEngine> Core<E> {
                 marks.push(FetchMark {
                     seq,
                     queue_len: self.fetch_queue.len() as u32,
-                    mem_batch_len: self.mem_batch.len() as u32,
                     fetch_pending_len: self.fetch_pending.len() as u32,
                     last_fetch_block: self.last_fetch_block,
                 });
@@ -1731,7 +1674,6 @@ impl<E: SpecEngine> Core<E> {
                 let tail = self.fetch_queue.pop_back().expect("length checked above");
                 self.replay.push_front(tail.inst);
             }
-            self.mem_batch.truncate(mark.mem_batch_len as usize);
             self.fetch_pending.truncate(mark.fetch_pending_len as usize);
             self.last_fetch_block = mark.last_fetch_block;
         }
@@ -1743,36 +1685,27 @@ impl<E: SpecEngine> Core<E> {
     }
 
     /// Enqueues one fetched instruction, charging the instruction cache
-    /// once per new cache block (the access joins the cycle's memory
-    /// batch; a miss's extra latency is patched into `ready_at` when the
-    /// batch resolves).
+    /// once per new cache block (the access waits in `fetch_pending`; a
+    /// miss's extra latency is patched into `ready_at` when it resolves).
     fn push_fetched(&mut self, inst: DynInst, mispredicted: bool) {
         let block = inst.pc >> self.fetch_block_shift;
         if block != self.last_fetch_block {
-            self.fetch_pending.push((self.fetch_queue.len(), self.mem_batch.len() as u32));
-            self.mem_batch.push(MemRequest::fetch(inst.pc));
+            self.fetch_pending.push((self.fetch_queue.len(), inst.pc));
             self.last_fetch_block = block;
         }
         let ready_at = self.clock + self.config.frontend_depth;
         self.fetch_queue.push_back(FetchedInst { inst, ready_at, mispredicted });
     }
 
-    /// Resolves the fetch stage's i-cache batch and patches miss latencies
-    /// into the affected instructions' `ready_at`.
+    /// Makes the fetch block's i-cache accesses, in fetch order, and
+    /// patches miss latencies into the affected instructions' `ready_at`.
     fn resolve_fetch_batch(&mut self) {
-        if self.mem_batch.is_empty() {
-            return;
-        }
-        self.hierarchy.access_batch(&mut self.mem_batch, self.clock);
-        let pending = std::mem::take(&mut self.fetch_pending);
-        for &(queue_idx, request_idx) in &pending {
-            let latency = self.mem_batch[request_idx as usize].latency;
+        for &(queue_idx, pc) in &self.fetch_pending {
+            let latency = self.hierarchy.access_inst(pc, self.clock);
             let extra = latency.saturating_sub(self.config.l1i_latency);
             self.fetch_queue[queue_idx].ready_at += extra;
         }
-        self.fetch_pending = pending;
         self.fetch_pending.clear();
-        self.mem_batch.clear();
     }
 }
 
