@@ -105,6 +105,11 @@ impl RsepEngine {
         self.isrb.as_ref().map(|i| i.stats())
     }
 
+    /// Registers the ISRB currently tracks, when RSEP is enabled.
+    pub fn isrb_occupancy(&self) -> Option<usize> {
+        self.isrb.as_ref().map(|i| i.occupancy())
+    }
+
     /// Distance-predictor statistics, when RSEP is enabled.
     pub fn distance_stats(&self) -> Option<PredictorStats> {
         self.distance.as_ref().map(|d| d.stats())
@@ -283,10 +288,10 @@ impl SpecEngine for RsepEngine {
     }
 
     fn release_register(&mut self, preg: PhysReg) -> bool {
-        match self.isrb.as_mut() {
-            Some(isrb) => isrb.on_release(preg),
-            None => true,
+        if let Some(isrb) = self.isrb.as_mut() {
+            isrb.on_release(preg);
         }
+        true
     }
 
     fn on_squash(&mut self, from_seq: u64) -> Vec<PhysReg> {
@@ -302,10 +307,10 @@ impl SpecEngine for RsepEngine {
         if let Some(z) = self.zero.as_mut() {
             z.on_squash(from_seq);
         }
-        match self.isrb.as_mut() {
-            Some(isrb) => isrb.on_squash(from_seq),
-            None => Vec::new(),
+        if let Some(isrb) = self.isrb.as_mut() {
+            isrb.on_squash(from_seq);
         }
+        Vec::new()
     }
 
     fn predictor_stats(&self) -> Vec<(&'static str, PredictorStats)> {
@@ -409,11 +414,59 @@ mod tests {
 
     #[test]
     fn release_register_defers_to_the_isrb() {
+        let preg = PhysReg::new(rsep_isa::RegClass::Int, 4);
         let mut engine = RsepEngine::new(MechanismConfig::baseline());
-        assert!(engine.release_register(PhysReg::new(rsep_isa::RegClass::Int, 4)));
+        engine.release_register(preg);
+        assert_eq!(engine.isrb_occupancy(), None);
         let mut rsep = RsepEngine::new(MechanismConfig::rsep_ideal());
-        // Unshared registers release normally even with RSEP enabled.
-        assert!(rsep.release_register(PhysReg::new(rsep_isa::RegClass::Int, 4)));
+        assert!(rsep.isrb.as_mut().unwrap().try_share(preg, 7));
+        assert_eq!(rsep.isrb_occupancy(), Some(1));
+        // Back to one owner: the register's ISRB entry retires.
+        rsep.release_register(preg);
+        assert_eq!(rsep.isrb_occupancy(), Some(0));
+    }
+
+    #[test]
+    fn isrb_empties_once_same_register_sharers_are_overwritten() {
+        // Each iteration's second instruction writes the value its first
+        // one just wrote, into the same architectural register: once the
+        // distance predictor is confident, the second shares the first's
+        // register. (The third instruction shifts the loop against the
+        // commit groups, so the second one wins commit-group sampling.)
+        // After the loop, a tail that overwrites that register with
+        // unshared values must leave every ISRB entry retired.
+        let mut insts = Vec::new();
+        for i in 0..20_000u64 {
+            let value = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let seq = 3 * i;
+            insts.push(DynInst::simple(seq, 0x40_1000, OpClass::IntAlu, ArchReg::int(1), value));
+            insts.push(DynInst::simple(
+                seq + 1,
+                0x40_1004,
+                OpClass::IntAlu,
+                ArchReg::int(1),
+                value,
+            ));
+            insts.push(DynInst::simple(
+                seq + 2,
+                0x40_1008,
+                OpClass::IntAlu,
+                ArchReg::int(2),
+                !value,
+            ));
+        }
+        for seq in 60_000..60_100u64 {
+            let pc = 0x50_0000 + seq * 4;
+            insts.push(DynInst::simple(seq, pc, OpClass::IntAlu, ArchReg::int(1), seq));
+        }
+        let total = insts.len() as u64;
+        let engine = RsepEngine::new(MechanismConfig::rsep_realistic());
+        let mut core = rsep_uarch::Core::new(rsep_uarch::CoreConfig::small_test(), engine);
+        assert_eq!(core.run(&mut insts.into_iter(), total), Ok(total));
+        let engine = core.engine();
+        assert!(engine.isrb_stats().unwrap().shares_accepted > 100, "the loop must share");
+        assert_eq!(engine.isrb_occupancy(), Some(0));
+        core.validate_invariants().expect("registers are conserved");
     }
 
     #[test]

@@ -2,13 +2,20 @@
 //!
 //! RSEP shares a physical register between the provider instruction and the
 //! predicted instruction, so registers can no longer be freed as soon as
-//! their architectural mapping is overwritten: the ISRB reference-counts
-//! shared registers. It is a small fully-associative buffer (24 entries in
-//! the paper's final configuration) whose entries hold two counters:
-//! `referenced` (number of extra references, including speculative ones) and
-//! `committed` (number of committed de-references). A register is freed when
-//! `committed` exceeds `referenced`. If the ISRB is full, no sharing takes
-//! place for the new pair.
+//! their architectural mapping is overwritten. In the paper the ISRB both
+//! tracks shared registers and decides when they are freed: each entry holds
+//! a `referenced` counter (extra references, including speculative ones) and
+//! a `committed` counter (committed de-references), and the register frees
+//! when `committed` exceeds `referenced`.
+//!
+//! In this model the free decision belongs to the register file's
+//! per-register reference count, for every register (`rsep_uarch::regfile`).
+//! The ISRB keeps its role as a filter on *accepting* a share: a small
+//! fully-associative buffer (24 entries of 6-bit counters in the paper's
+//! final configuration) that rejects a share when it is full or the entry's
+//! `referenced` counter would saturate. Squashed sharers roll their
+//! references back, and an entry retires when the core reports its register
+//! back to one owner ([`Isrb::on_release`]).
 
 use rsep_isa::PhysReg;
 
@@ -19,8 +26,6 @@ struct IsrbEntry {
     /// Number of extra references to the register (sharers), including
     /// speculative ones.
     referenced: u32,
-    /// Number of committed de-references observed so far.
-    committed: u32,
 }
 
 /// A speculative (not yet committed) sharing reference.
@@ -50,8 +55,11 @@ impl IsrbConfig {
         IsrbConfig { entries: usize::MAX, counter_bits: 16 }
     }
 
-    /// Storage in bits: two counters plus a physical register tag per entry
-    /// (the 63 bytes reported in Section VI-B for 24 entries).
+    /// Storage in bits of the paper's ISRB: two counters plus a physical
+    /// register tag per entry (the 63 bytes reported in Section VI-B for 24
+    /// entries). The register file's reference count stands in for the
+    /// `committed` counter in this model, but the hardware budget is the
+    /// paper's.
     pub fn storage_bits(&self) -> u64 {
         if self.entries == usize::MAX {
             return 0;
@@ -84,8 +92,6 @@ pub struct IsrbStats {
     pub shares_accepted: u64,
     /// Sharing requests rejected because the buffer was full.
     pub shares_rejected_full: u64,
-    /// Registers freed through the ISRB protocol.
-    pub registers_freed: u64,
     /// Maximum occupancy observed.
     pub max_occupancy: usize,
 }
@@ -135,7 +141,7 @@ impl Isrb {
                 self.stats.shares_rejected_full += 1;
                 return false;
             }
-            self.entries.push(IsrbEntry { preg, referenced: 1, committed: 0 });
+            self.entries.push(IsrbEntry { preg, referenced: 1 });
             self.stats.max_occupancy = self.stats.max_occupancy.max(self.entries.len());
         }
         self.pending.push(PendingShare { seq, preg });
@@ -149,46 +155,28 @@ impl Isrb {
         self.pending.retain(|p| p.seq != seq);
     }
 
-    /// Called when a committing instruction overwrites the architectural
-    /// mapping previously held by `preg`. Returns `true` when the register
-    /// can really be freed.
-    pub fn on_release(&mut self, preg: PhysReg) -> bool {
-        let Some(idx) = self.entries.iter().position(|e| e.preg == preg) else {
-            // Not shared: the register frees normally.
-            return true;
-        };
-        let entry = &mut self.entries[idx];
-        entry.committed += 1;
-        if entry.committed > entry.referenced {
+    /// Called when `preg` is back to at most one owner: it is no longer
+    /// shared, so its entry (if any) retires.
+    pub fn on_release(&mut self, preg: PhysReg) {
+        if let Some(idx) = self.entries.iter().position(|e| e.preg == preg) {
             self.entries.swap_remove(idx);
-            self.stats.registers_freed += 1;
-            true
-        } else {
-            false
         }
     }
 
     /// Rolls back all speculative references made by instructions with
     /// sequence number `>= from_seq` (checkpoint recovery / pipeline
-    /// squash). Registers whose counters now satisfy the free condition are
-    /// returned so the caller can release them.
-    pub fn on_squash(&mut self, from_seq: u64) -> Vec<PhysReg> {
-        let mut freed = Vec::new();
-        let squashed: Vec<PendingShare> =
-            self.pending.iter().copied().filter(|p| p.seq >= from_seq).collect();
-        self.pending.retain(|p| p.seq < from_seq);
-        for share in squashed {
-            if let Some(idx) = self.entries.iter().position(|e| e.preg == share.preg) {
-                let entry = &mut self.entries[idx];
-                entry.referenced = entry.referenced.saturating_sub(1);
-                if entry.committed > entry.referenced {
-                    freed.push(entry.preg);
-                    self.entries.swap_remove(idx);
-                    self.stats.registers_freed += 1;
-                }
+    /// squash).
+    pub fn on_squash(&mut self, from_seq: u64) {
+        let entries = &mut self.entries;
+        self.pending.retain(|share| {
+            if share.seq < from_seq {
+                return true;
             }
-        }
-        freed
+            if let Some(entry) = entries.iter_mut().find(|e| e.preg == share.preg) {
+                entry.referenced = entry.referenced.saturating_sub(1);
+            }
+            false
+        });
     }
 }
 
@@ -209,32 +197,24 @@ mod tests {
     }
 
     #[test]
-    fn single_share_frees_on_second_release() {
+    fn entry_retires_when_its_register_is_back_to_one_owner() {
         let mut isrb = Isrb::new(IsrbConfig::paper());
         assert!(isrb.try_share(preg(7), 100));
+        assert!(isrb.try_share(preg(7), 101));
+        assert_eq!(isrb.occupancy(), 1, "sharers of one register share its entry");
         isrb.on_sharer_commit(100);
-        // First de-reference (committed == referenced): keep.
-        assert!(!isrb.on_release(preg(7)));
-        // Second de-reference (committed > referenced): free.
-        assert!(isrb.on_release(preg(7)));
+        isrb.on_release(preg(7));
         assert_eq!(isrb.occupancy(), 0);
-        assert_eq!(isrb.stats().registers_freed, 1);
-    }
-
-    #[test]
-    fn two_sharers_need_three_releases() {
-        let mut isrb = Isrb::new(IsrbConfig::paper());
-        assert!(isrb.try_share(preg(3), 1));
-        assert!(isrb.try_share(preg(3), 2));
-        assert!(!isrb.on_release(preg(3)));
-        assert!(!isrb.on_release(preg(3)));
-        assert!(isrb.on_release(preg(3)));
     }
 
     #[test]
     fn unshared_registers_free_immediately() {
+        // The ISRB holds nothing for a register it never accepted a share
+        // of, so a release leaves it untouched.
         let mut isrb = Isrb::new(IsrbConfig::paper());
-        assert!(isrb.on_release(preg(9)));
+        assert!(isrb.try_share(preg(3), 1));
+        isrb.on_release(preg(9));
+        assert_eq!(isrb.occupancy(), 1);
     }
 
     #[test]
@@ -246,46 +226,54 @@ mod tests {
         assert_eq!(isrb.stats().shares_rejected_full, 1);
         // Sharing an already-tracked register still works.
         assert!(isrb.try_share(preg(1), 4));
+        // A retired entry makes room again.
+        isrb.on_release(preg(2));
+        assert!(isrb.try_share(preg(3), 5));
+    }
+
+    #[test]
+    fn saturated_counter_rejects_further_sharers() {
+        let mut isrb = Isrb::new(IsrbConfig { entries: 4, counter_bits: 2 });
+        for seq in 0..3 {
+            assert!(isrb.try_share(preg(5), seq));
+        }
+        assert!(!isrb.try_share(preg(5), 3), "a 2-bit counter holds 3 sharers");
+        assert_eq!(isrb.stats().shares_rejected_full, 1);
+        // Squashing the youngest sharer frees a count.
+        isrb.on_squash(2);
+        assert!(isrb.try_share(preg(5), 4));
     }
 
     #[test]
     fn squash_rolls_back_speculative_references() {
-        let mut isrb = Isrb::new(IsrbConfig::paper());
+        let mut isrb = Isrb::new(IsrbConfig { entries: 4, counter_bits: 1 });
         assert!(isrb.try_share(preg(5), 10));
-        // The provider's mapping is overwritten and commits before the
-        // sharer does: committed == referenced, entry stays.
-        assert!(!isrb.on_release(preg(5)));
-        // The sharer is squashed: its reference is undone, and now
-        // committed(1) > referenced(0), so the register frees.
-        let freed = isrb.on_squash(10);
-        assert_eq!(freed, vec![preg(5)]);
-        assert_eq!(isrb.occupancy(), 0);
+        assert!(!isrb.try_share(preg(5), 11), "a 1-bit counter holds one sharer");
+        // The sharer is squashed: its reference is undone, so the counter
+        // has room for a new one.
+        isrb.on_squash(10);
+        assert!(isrb.try_share(preg(5), 12));
     }
 
     #[test]
     fn squash_only_affects_younger_sequences() {
-        let mut isrb = Isrb::new(IsrbConfig::paper());
+        let mut isrb = Isrb::new(IsrbConfig { entries: 4, counter_bits: 1 });
         assert!(isrb.try_share(preg(5), 10));
         assert!(isrb.try_share(preg(6), 20));
-        let freed = isrb.on_squash(15);
-        assert!(freed.is_empty());
+        isrb.on_squash(15);
         // preg 6's reference was rolled back; preg 5's remains.
-        assert!(!isrb.on_release(preg(5)));
-        assert!(isrb.on_release(preg(5)));
-        // preg 6 now behaves as unshared (referenced rolled back to 0 but
-        // entry still present until a release arrives).
-        assert!(isrb.on_release(preg(6)));
+        assert!(!isrb.try_share(preg(5), 21));
+        assert!(isrb.try_share(preg(6), 22));
     }
 
     #[test]
     fn committed_sharer_references_survive_squash() {
-        let mut isrb = Isrb::new(IsrbConfig::paper());
+        let mut isrb = Isrb::new(IsrbConfig { entries: 4, counter_bits: 1 });
         assert!(isrb.try_share(preg(8), 30));
         isrb.on_sharer_commit(30);
-        let freed = isrb.on_squash(0);
-        assert!(freed.is_empty());
-        assert!(!isrb.on_release(preg(8)));
-        assert!(isrb.on_release(preg(8)));
+        isrb.on_squash(0);
+        assert!(!isrb.try_share(preg(8), 31), "the committed reference still counts");
+        assert_eq!(isrb.occupancy(), 1);
     }
 
     #[test]

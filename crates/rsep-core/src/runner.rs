@@ -177,7 +177,9 @@ pub fn run_checkpoint_on(
         return CheckpointResult::failed(index, &e);
     }
     core.reset_stats();
-    if let Err(e) = core.run(trace, spec.measure) {
+    // Register conservation is checked once per cell (debug builds also
+    // check it inside the core).
+    if let Err(e) = core.run(trace, spec.measure).and_then(|_| core.validate_invariants()) {
         return CheckpointResult::failed(index, &e);
     }
     let stats = core.take_stats();

@@ -124,39 +124,37 @@ impl ScanHistory {
 }
 
 proptest! {
-    /// ISRB protocol invariant: for a register shared `n` times (all sharers
-    /// committed), the register is freed exactly on the `n + 1`-th committed
-    /// de-reference and never before.
+    /// An ISRB entry's `referenced` counter accepts exactly as many
+    /// sharers as its width can count, rejects the next one, and a
+    /// back-to-one-owner release retires the entry so sharing starts over.
     #[test]
-    fn isrb_frees_after_the_last_dereference(shares in 1usize..8) {
-        let mut isrb = Isrb::new(IsrbConfig { entries: 32, counter_bits: 8 });
+    fn isrb_counter_saturates_at_its_width(counter_bits in 1u8..7) {
+        let mut isrb = Isrb::new(IsrbConfig { entries: 32, counter_bits });
         let preg = PhysReg::new(RegClass::Int, 17);
-        for seq in 0..shares as u64 {
+        let max = (1u64 << counter_bits) - 1;
+        for seq in 0..max {
             prop_assert!(isrb.try_share(preg, seq));
-            isrb.on_sharer_commit(seq);
         }
-        // The first `shares` de-references must not free the register.
-        for _ in 0..shares {
-            prop_assert!(!isrb.on_release(preg));
-        }
-        // The final de-reference frees it.
-        prop_assert!(isrb.on_release(preg));
+        prop_assert!(!isrb.try_share(preg, max));
+        isrb.on_release(preg);
         prop_assert_eq!(isrb.occupancy(), 0);
+        prop_assert!(isrb.try_share(preg, max + 1));
     }
 
-    /// Squashing every speculative sharer leaves the buffer consistent: a
-    /// subsequent single de-reference (the provider's own mapping) frees the
-    /// register.
+    /// Squashing every speculative sharer rolls the counter back to zero:
+    /// the entry then accepts a full counter's worth of new sharers.
     #[test]
-    fn isrb_squash_rolls_back_all_speculative_references(shares in 1usize..8) {
-        let mut isrb = Isrb::new(IsrbConfig { entries: 32, counter_bits: 8 });
+    fn isrb_squash_rolls_back_all_speculative_references(shares in 1u64..8) {
+        let mut isrb = Isrb::new(IsrbConfig { entries: 32, counter_bits: 3 });
         let preg = PhysReg::new(RegClass::Int, 3);
-        for seq in 0..shares as u64 {
+        for seq in 0..shares {
             prop_assert!(isrb.try_share(preg, seq));
         }
-        let freed = isrb.on_squash(0);
-        prop_assert!(freed.is_empty());
-        prop_assert!(isrb.on_release(preg));
+        isrb.on_squash(0);
+        for seq in 0..7 {
+            prop_assert!(isrb.try_share(preg, 100 + seq));
+        }
+        prop_assert!(!isrb.try_share(preg, 107));
     }
 
     /// The ISRB never exceeds its configured capacity, regardless of the

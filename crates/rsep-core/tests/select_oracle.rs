@@ -135,9 +135,9 @@ proptest! {
 /// Regression test for the squash path: drive a core whose speculation
 /// engine mispredicts constantly (trained value predictions broken on
 /// purpose), so commit-time squashes fire while earlier squashes are still
-/// replaying, and verify between run segments that the free lists never
-/// contain duplicates — i.e. pregs drained from `fetch_queue`/`replay` are
-/// never double-freed against the ones `engine.on_squash` returns.
+/// replaying, and verify between run segments that registers are conserved
+/// — every reference count matches its mappings and in-flight destinations
+/// and the free list holds exactly the unowned registers, none twice.
 #[test]
 fn squash_mid_replay_never_double_frees_registers() {
     let engine = RsepEngine::new(MechanismConfig::rsep_plus_vp());
@@ -186,8 +186,8 @@ fn squash_mid_replay_never_double_frees_registers() {
     while committed < total {
         let done = core.run(&mut trace, 64.min(total - committed)).expect("no deadlock");
         // The invariant under test: after any mixture of squash, replay and
-        // re-squash, no physical register sits on a free list twice.
-        core.validate_invariants();
+        // re-squash, no physical register is leaked or freed twice.
+        core.validate_invariants().expect("registers are conserved");
         if done == committed {
             break; // trace drained
         }

@@ -15,12 +15,15 @@
 //!   mapped ([`SpecEngine::at_rename`] returning a [`RenameAction`]);
 //! * at **commit**, the engine trains its predictors and updates its
 //!   sharing state ([`SpecEngine::at_commit`]);
-//! * when a previous mapping is released at commit, the engine arbitrates
-//!   whether the physical register can really be freed
-//!   ([`SpecEngine::release_register`] — the ISRB reference counting of
-//!   Section IV-E2);
+//! * when a physical register drops back to at most one owner, the engine
+//!   is notified ([`SpecEngine::release_register`]) so it can retire its
+//!   sharing state for it (the ISRB of Section IV-E2);
 //! * on a pipeline squash the engine rolls back speculative sharing state
 //!   ([`SpecEngine::on_squash`]).
+//!
+//! The engine never decides when a register is freed: the register file's
+//! reference count does (see [`crate::regfile`]), and the core ignores what
+//! the two notifications return.
 
 use crate::rob::Rob;
 use rsep_isa::{DynInst, PhysReg};
@@ -176,19 +179,17 @@ pub trait SpecEngine: std::fmt::Debug {
     /// commit-group sampling (Section IV-B3).
     fn at_commit(&mut self, _inst: &DynInst, _disposition: Disposition, _clock: u64) {}
 
-    /// Asks whether the previous mapping `preg`, released by a committing
-    /// instruction, may be returned to the free list. Register-sharing
-    /// engines answer `false` while other references are outstanding
-    /// (ISRB reference counting).
+    /// Notifies the engine that `preg` is back to at most one owner (a
+    /// commit overwrote one of its mappings, or a squash removed one of its
+    /// in-flight destinations), so it is no longer shared. Notification
+    /// only: the core ignores the answer.
     fn release_register(&mut self, _preg: PhysReg) -> bool {
         true
     }
 
     /// Notifies the engine that all instructions with sequence number
-    /// greater than or equal to `from_seq` were squashed. Returns physical
-    /// registers whose last reference disappeared with the squash and that
-    /// should therefore be returned to the free list (shared registers kept
-    /// alive only by squashed sharers).
+    /// greater than or equal to `from_seq` were squashed. Notification
+    /// only: the core ignores the returned registers.
     fn on_squash(&mut self, _from_seq: u64) -> Vec<PhysReg> {
         Vec::new()
     }

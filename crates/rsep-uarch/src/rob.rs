@@ -156,11 +156,9 @@ impl FromIterator<PhysReg> for SrcRegs {
 pub struct InflightInst {
     /// The dynamic instruction.
     pub inst: DynInst,
-    /// Physical register holding (or designated to hold) the result.
+    /// Physical register holding (or designated to hold) the result. The
+    /// entry counts as one owner of it while in flight.
     pub dest_preg: Option<PhysReg>,
-    /// Previous mapping of the destination architectural register, to be
-    /// released at commit.
-    pub prev_preg: Option<PhysReg>,
     /// Whether `dest_preg` was freshly allocated for this instruction (as
     /// opposed to shared, hardwired zero, or a move-eliminated source).
     pub allocated_new_preg: bool,
@@ -454,7 +452,6 @@ mod tests {
         InflightInst {
             inst: DynInst::simple(seq, 0x400000 + seq * 4, OpClass::IntAlu, ArchReg::int(1), seq),
             dest_preg: None,
-            prev_preg: None,
             allocated_new_preg: false,
             src_pregs: SrcRegs::new(),
             disposition: Disposition::None,

@@ -24,7 +24,6 @@ fn entry(seq: u64, gen: u64) -> InflightInst {
     InflightInst {
         inst: DynInst::simple(seq, 0x40_0000 + seq * 4, OpClass::IntAlu, ArchReg::int(1), seq),
         dest_preg: None,
-        prev_preg: None,
         allocated_new_preg: false,
         src_pregs: SrcRegs::new(),
         disposition: Disposition::None,

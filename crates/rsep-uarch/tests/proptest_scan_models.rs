@@ -1,55 +1,16 @@
 //! Model-based tests for the core's constant-time structures.
 //!
-//! Each structure replaced a scan — a rename map searched entry by entry,
-//! a cache set scanned twice per miss, a store queue with a per-dword
-//! index — and each scanning version is kept here as the model. On random
-//! operation streams the real structure and its model must give the same
-//! answers and the same statistics at every step.
+//! Each structure replaced a scan — a cache set scanned twice per miss, a
+//! store queue with a per-dword index — and each scanning version is kept
+//! here as the model. On random operation streams the real structure and
+//! its model must give the same answers and the same statistics at every
+//! step.
 
 use proptest::prelude::*;
-use rsep_isa::{ArchReg, PhysReg, RegClass};
 use rsep_uarch::{
-    AccessKind, CacheHierarchy, CacheStats, CoreConfig, InstSlot, RenameMap, StoreQueue,
-    StridePrefetcher,
+    AccessKind, CacheHierarchy, CacheStats, CoreConfig, InstSlot, StoreQueue, StridePrefetcher,
 };
 use std::collections::BTreeMap;
-
-// ---------------------------------------------------------------- rename
-
-/// Physical registers per class in the rename test: enough for the 64
-/// initial mappings plus a few spares, few enough that renames collide.
-const PRF: usize = 40;
-
-fn arch_reg(flat: usize) -> ArchReg {
-    if flat < 32 {
-        ArchReg::int(flat as u8)
-    } else {
-        ArchReg::fp((flat - 32) as u8)
-    }
-}
-
-fn phys_reg(flat: usize) -> PhysReg {
-    if flat < PRF {
-        PhysReg::new(RegClass::Int, flat as u16)
-    } else {
-        PhysReg::new(RegClass::Fp, (flat - PRF) as u16)
-    }
-}
-
-/// The scan `maps_to` replaced (is `phys` anywhere in the map?), answered
-/// for every physical register by one pass over the map.
-fn scan_maps_to(map: &RenameMap) -> Vec<bool> {
-    let mut mapped = vec![false; 2 * PRF];
-    for (_, p) in map.iter() {
-        let class_base = if p.class() == RegClass::Int { 0 } else { PRF };
-        mapped[class_base + usize::from(p.index())] = true;
-    }
-    mapped
-}
-
-fn maps_to(map: &RenameMap) -> Vec<bool> {
-    (0..2 * PRF).map(|flat| map.maps_to(phys_reg(flat))).collect()
-}
 
 // ----------------------------------------------------------------- cache
 
@@ -313,35 +274,6 @@ impl IndexedStoreQueue {
 }
 
 proptest! {
-    /// `maps_to` (a per-register mapping count) agrees with a scan of the
-    /// map for every physical register, after every `rename` of either
-    /// map and every `restore_from` in both directions.
-    #[test]
-    fn maps_to_matches_a_scan_of_the_map(
-        ops in proptest::collection::vec((0u8..8, 0usize..64, 0u16..PRF as u16), 1..300),
-    ) {
-        let mut arch = RenameMap::initial(PRF, PRF);
-        let mut spec = arch.clone();
-        for (kind, arch_flat, index) in ops {
-            let reg = arch_reg(arch_flat);
-            // Renames stay within the register's class.
-            let phys = PhysReg::new(reg.class(), index);
-            match kind {
-                _ if reg.is_zero_reg() => {}
-                0..=3 => {
-                    spec.rename(reg, phys);
-                }
-                4 | 5 => {
-                    arch.rename(reg, phys);
-                }
-                6 => spec.restore_from(&arch),
-                _ => arch.restore_from(&spec),
-            }
-            prop_assert_eq!(maps_to(&spec), scan_maps_to(&spec));
-            prop_assert_eq!(maps_to(&arch), scan_maps_to(&arch));
-        }
-    }
-
     /// The cache hierarchy (sentinel tags, victim carried from the miss to
     /// the fill) returns the same latency as the scanning model for every
     /// access of a random load / store / fetch stream with both prefetchers
