@@ -61,7 +61,9 @@
 //! merged with `rsep merge` is byte-identical to an unsharded run.
 //!
 //! Exit codes: 0 success, 1 runtime failure (store I/O, corrupt or
-//! mismatched files), 2 usage error.
+//! mismatched files), 2 usage error, 3 when a report was emitted in full
+//! but some of its cells failed (each is named by a `warning:` line on
+//! stderr).
 
 #![forbid(unsafe_code)]
 
@@ -76,7 +78,11 @@ use rsep_stats::Experiment;
 use rsep_trace::CheckpointSpec;
 use rsep_tracefile::AnonScheme;
 use rsep_uarch::CoreConfig;
+use std::cell::Cell;
 use std::process::ExitCode;
+
+/// Exit code of a run whose report includes failed cells.
+const CELLS_FAILED: u8 = 3;
 
 /// A CLI failure: what to print and which exit code to use (2 for usage
 /// errors, 1 for runtime failures).
@@ -122,6 +128,8 @@ struct Cli {
     progress: bool,
     dir: Option<String>,
     raw_addresses: bool,
+    /// Failed cells in the reports emitted so far.
+    failed_cells: Cell<usize>,
 }
 
 fn usage() -> &'static str {
@@ -154,6 +162,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         progress: false,
         dir: None,
         raw_addresses: false,
+        failed_cells: Cell::new(0),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -298,6 +307,7 @@ impl Cli {
         // with --quiet; their IPC contribution is zero.
         for (benchmark, mechanism, error) in result.failures() {
             eprintln!("warning: {}/{benchmark}/{mechanism}: {error}", result.id);
+            self.failed_cells.set(self.failed_cells.get() + 1);
         }
         match result.id.as_str() {
             "figure5" => self.emit(&presets::figure5_experiment(result)),
@@ -745,6 +755,10 @@ fn main() -> ExitCode {
         }
     };
     match run_command(&cli) {
+        Ok(()) if cli.failed_cells.get() > 0 => {
+            eprintln!("{} cell(s) failed", cli.failed_cells.get());
+            ExitCode::from(CELLS_FAILED)
+        }
         Ok(()) => ExitCode::SUCCESS,
         Err(failure) => {
             eprintln!("{}", failure.message);

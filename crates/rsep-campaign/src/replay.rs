@@ -15,9 +15,10 @@ use std::fs;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
-use rsep_core::run_checkpoint_on;
+use rsep_core::{run_checkpoint_on, CheckpointResult};
 use rsep_isa::Fingerprint;
-use rsep_tracefile::{record_profile, AnonScheme, TraceFile};
+use rsep_trace::TraceSource;
+use rsep_tracefile::{header_for, record_profile, AnonScheme, TraceFile};
 
 use crate::{assemble_rows, expand_mechanisms, CampaignResult, CampaignSpec, Executor};
 
@@ -60,11 +61,13 @@ pub fn record_campaign(
         record_profile(out, profile, &spec.checkpoints, spec.seed, anon)
             .map_err(|e| format!("record {}: {e}", path.display()))?;
         let bytes = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let file = TraceFile::open(&path).map_err(|e| format!("reread {}: {e}", path.display()))?;
+        // `record_profile` fails unless every segment got its full count.
+        let per_segment =
+            header_for(profile, &spec.checkpoints, spec.seed, anon).segment_instructions();
         written.push(RecordedTrace {
             profile: profile.name.to_string(),
             path,
-            instructions: file.instructions(),
+            instructions: spec.checkpoints.count as u64 * per_segment,
             bytes,
         });
     }
@@ -146,15 +149,19 @@ pub fn replay_campaign(
         let mut segment = corpus[profile]
             .segment(checkpoint)
             .expect("segment count was validated against the spec");
-        // A segment too short for the scale surfaces as a drained-trace
-        // cell failure, exactly like a live generator ending early.
-        run_checkpoint_on(
+        // A read or decode error ends the segment early; it fails the cell
+        // with that error instead of leaving a silently short run.
+        let result = run_checkpoint_on(
             &mut segment,
             &mechanisms[mechanism],
             &spec.core_config,
             spec.checkpoints,
             checkpoint,
-        )
+        );
+        match segment.error() {
+            Some(e) => CheckpointResult::failed(checkpoint, &format!("{}: {e}", segment.origin())),
+            None => result,
+        }
     });
     let benchmarks: Vec<String> = spec.profiles.iter().map(|p| p.name.to_string()).collect();
     let labels: Vec<String> = mechanisms.iter().map(|m| m.label.clone()).collect();

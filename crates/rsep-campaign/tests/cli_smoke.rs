@@ -1,5 +1,5 @@
-//! Every `rsep` CLI subcommand exits 0 under `--smoke`, and usage errors
-//! exit non-zero.
+//! Every `rsep` CLI subcommand exits 0 under `--smoke`, usage errors
+//! exit 2, and a report with failed cells exits 3 once it is emitted.
 
 use std::process::Command;
 
@@ -226,4 +226,47 @@ fn help_exits_0() {
     let output = rsep(&["--help"]);
     assert!(output.status.success());
     assert!(String::from_utf8_lossy(&output.stdout).contains("usage: rsep"));
+}
+
+#[test]
+fn a_report_with_failed_cells_exits_3_after_it_is_emitted() {
+    use rsep_tracefile::format::{encode_header, fnv1a, FNV_BASIS};
+
+    let dir = std::env::temp_dir().join(format!("rsep-cli-failed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let recorded =
+        rsep(&["trace", "record", "fig4", "--smoke", "--benchmarks", "mcf", "--dir", dir_arg]);
+    assert!(recorded.status.success(), "{}", String::from_utf8_lossy(&recorded.stderr));
+
+    // Make the first record undecodable (op class 15 does not exist) and
+    // re-seal the checksum, so the file opens and then fails mid-replay.
+    let path = dir.join("mcf.rseptrc");
+    let file = rsep_tracefile::TraceFile::open(&path).expect("recorded file opens");
+    let start = encode_header(file.header()).len();
+    let end = start + file.payload_bytes() as usize;
+    let mut bytes = std::fs::read(&path).expect("read");
+    bytes[start] = 0x0f;
+    let checksum = fnv1a(FNV_BASIS, &bytes[start..end]);
+    let at = bytes.len() - 16;
+    bytes[at..at + 8].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write");
+
+    let output = rsep(&[
+        "trace",
+        "replay",
+        "fig4",
+        "--smoke",
+        "--benchmarks",
+        "mcf",
+        "--dir",
+        dir_arg,
+        "--quiet",
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(3), "{stderr}");
+    assert!(String::from_utf8_lossy(&output.stdout).contains("mcf"), "the report is emitted");
+    assert!(stderr.contains("warning: figure4/mcf/"), "{stderr}");
+    assert!(stderr.contains("mcf.rseptrc#0: trace record error"), "{stderr}");
 }

@@ -20,7 +20,7 @@ use crate::config::MechanismConfig;
 use crate::engine::RsepEngine;
 use rsep_isa::DynInst;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec, TraceGenerator};
-use rsep_uarch::{Core, CoreConfig, SimError, SimStats};
+use rsep_uarch::{Core, CoreConfig, SimStats};
 
 /// Result of running one benchmark under one mechanism configuration.
 #[derive(Debug, Clone)]
@@ -97,10 +97,12 @@ pub struct CheckpointResult {
     pub ipc: f64,
     /// Statistics of the measured window.
     pub stats: SimStats,
-    /// Set when the cell's simulation failed (e.g. a wedged pipeline): the
-    /// rendered [`SimError`]. A failed cell carries empty statistics and
-    /// zero IPC; campaign runners record it in the result store and keep
-    /// going instead of aborting the whole process.
+    /// Set when the cell's simulation failed: the rendered
+    /// [`SimError`](rsep_uarch::SimError) (e.g. a wedged pipeline) or the
+    /// error of the trace source that ended the cell's stream early. A
+    /// failed cell carries empty statistics and zero IPC; campaign runners
+    /// record it in the result store and keep going instead of aborting
+    /// the whole process.
     pub error: Option<String>,
 }
 
@@ -110,8 +112,9 @@ impl CheckpointResult {
         CheckpointResult { index, ipc: stats.ipc(), stats, error: None }
     }
 
-    /// A cell whose simulation failed.
-    pub fn failed(index: usize, error: &SimError) -> CheckpointResult {
+    /// A cell whose simulation failed with `error`: a
+    /// [`SimError`](rsep_uarch::SimError) or a trace source's error.
+    pub fn failed(index: usize, error: &impl std::fmt::Display) -> CheckpointResult {
         CheckpointResult {
             index,
             ipc: 0.0,
@@ -237,6 +240,7 @@ pub fn run_comparison(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsep_uarch::SimError;
 
     fn quick_spec() -> CheckpointSpec {
         CheckpointSpec::scaled(2, 1_000, 4_000)

@@ -43,6 +43,13 @@ const F_BRANCH: u8 = 1 << 2;
 /// Presence flag: the record carries a non-zero result value varint.
 const F_RESULT: u8 = 1 << 3;
 
+/// Longest possible encoded record: head and flag bytes, the seq and pc
+/// varints, every source, the destination, the result varint, the memory
+/// size byte and address varint, the branch byte and target varint (a
+/// varint takes at most 10 bytes). A decoder holding this many bytes past
+/// a record's start holds the whole record.
+pub const MAX_RECORD_BYTES: usize = 2 + 10 + 10 + MAX_SOURCES + 1 + 10 + 1 + 10 + 1 + 10;
+
 /// Delta-coding context shared by the encoder and decoder.
 ///
 /// Both sides must start from the same state (freshly `default()` at the
@@ -330,6 +337,26 @@ mod tests {
             .branch(BranchKind::Return, true, 0x3f_fff0)
             .build();
         roundtrip(&[load, store, branch]);
+    }
+
+    #[test]
+    fn widest_record_takes_max_record_bytes() {
+        // Every delta is i64::MIN (a 10-byte zigzag varint), the result is
+        // u64::MAX, and every optional field is present.
+        let far = 1u64 << 63;
+        let widest = DynInstBuilder::new(far, far, OpClass::Load)
+            .src(ArchReg::int(1))
+            .src(ArchReg::int(2))
+            .src(ArchReg::fp(3))
+            .dest(ArchReg::fp(4))
+            .result(u64::MAX)
+            .mem(far, 8)
+            .branch(BranchKind::Indirect, true, 0)
+            .build();
+        let mut bytes = Vec::new();
+        encode_inst(&mut CodecState::default(), &widest, &mut bytes);
+        assert_eq!(bytes.len(), MAX_RECORD_BYTES);
+        roundtrip(&[widest]);
     }
 
     #[test]

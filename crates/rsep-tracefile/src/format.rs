@@ -162,6 +162,12 @@ pub enum TraceError {
         /// Checksum recomputed over the payload bytes.
         computed: u64,
     },
+    /// A payload block no longer matches the digest taken when the file
+    /// was opened: the file was rewritten in place since.
+    Changed {
+        /// Payload offset of the changed block.
+        offset: u64,
+    },
     /// An instruction record failed to decode.
     Codec(CodecError),
 }
@@ -180,6 +186,10 @@ impl fmt::Display for TraceError {
             TraceError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "trace payload checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            ),
+            TraceError::Changed { offset } => write!(
+                f,
+                "trace payload changed since the file was opened (block at payload offset {offset})"
             ),
             TraceError::Codec(e) => write!(f, "trace record error: {e}"),
         }
@@ -389,39 +399,36 @@ pub fn encode_footer(segments: &[SegmentMeta], checksum: u64) -> Vec<u8> {
     out
 }
 
-/// Parses the footer written by [`encode_footer`] from the tail of the
-/// file. `header_end` is the first payload byte; returns the segment
-/// table, the stored payload checksum and the payload byte length.
-pub fn decode_footer(
-    bytes: &[u8],
-    header_end: usize,
-) -> Result<(Vec<SegmentMeta>, u64, usize), TraceError> {
-    // trailer = u32 table length + u64 checksum + end magic
-    let trailer_len = 4 + 8 + END_MAGIC.len();
-    if bytes.len() < header_end + trailer_len {
+/// Byte length of the fixed trailer: u32 table length, u64 checksum and
+/// `END_MAGIC`.
+pub const TRAILER_BYTES: usize = 4 + 8 + END_MAGIC.len();
+
+/// Parses the trailer written by [`encode_footer`] (the file's last
+/// [`TRAILER_BYTES`] bytes); returns the segment table's byte length and
+/// the stored payload checksum. A missing end magic means the file was
+/// cut short.
+pub fn decode_trailer(trailer: &[u8]) -> Result<(usize, u64), TraceError> {
+    if trailer.len() != TRAILER_BYTES || trailer[TRAILER_BYTES - END_MAGIC.len()..] != END_MAGIC {
         return Err(TraceError::Truncated);
     }
-    if bytes[bytes.len() - END_MAGIC.len()..] != END_MAGIC {
-        return Err(TraceError::Truncated);
-    }
-    let mut at = bytes.len() - trailer_len;
+    let mut at = 0usize;
     let table_len = {
         let mut raw = [0u8; 4];
-        raw.copy_from_slice(read_exact(bytes, &mut at, 4)?);
+        raw.copy_from_slice(read_exact(trailer, &mut at, 4)?);
         u32::from_le_bytes(raw) as usize
     };
-    let checksum = read_u64(bytes, &mut at)?;
-    let table_start = bytes
-        .len()
-        .checked_sub(trailer_len + table_len)
-        .filter(|&start| start >= header_end)
-        .ok_or(TraceError::Corrupt("segment table overlaps the header"))?;
-    let payload_len = table_start - header_end;
+    Ok((table_len, read_u64(trailer, &mut at)?))
+}
 
-    let table = &bytes[table_start..table_start + table_len];
+/// Parses the segment table written by [`encode_footer`] (the bytes just
+/// before the trailer) of a file whose payload is `payload_len` bytes.
+pub fn decode_segment_table(
+    table: &[u8],
+    payload_len: u64,
+) -> Result<Vec<SegmentMeta>, TraceError> {
     let mut at = 0usize;
     let count = read_varint(table, &mut at)? as usize;
-    if count > table_len {
+    if count > table.len() {
         // Each segment entry takes >= 3 table bytes; a count beyond the
         // table length is corrupt and would otherwise pre-allocate wildly.
         return Err(TraceError::Corrupt("segment count exceeds table size"));
@@ -432,7 +439,7 @@ pub fn decode_footer(
         let len = read_varint(table, &mut at)?;
         let seg_count = read_varint(table, &mut at)?;
         let end = offset.checked_add(len).ok_or(TraceError::Corrupt("segment range overflows"))?;
-        if end > payload_len as u64 {
+        if end > payload_len {
             return Err(TraceError::Corrupt("segment extends past the payload"));
         }
         segments.push(SegmentMeta { offset, len, count: seg_count });
@@ -440,7 +447,7 @@ pub fn decode_footer(
     if at != table.len() {
         return Err(TraceError::Corrupt("trailing bytes in the segment table"));
     }
-    Ok((segments, checksum, payload_len))
+    Ok(segments)
 }
 
 #[cfg(test)]
@@ -477,13 +484,13 @@ mod tests {
             SegmentMeta { offset: 100, len: 250, count: 55 },
         ];
         let footer = encode_footer(&segments, 0xdead_beef);
-        // Simulate a file: 10-byte header, 350-byte payload, footer.
-        let mut file = vec![0u8; 360];
-        file.extend_from_slice(&footer);
-        let (decoded, checksum, payload_len) = decode_footer(&file, 10).expect("decodes");
-        assert_eq!(decoded, segments);
+        let (table, trailer) = footer.split_at(footer.len() - TRAILER_BYTES);
+        let (table_len, checksum) = decode_trailer(trailer).expect("trailer decodes");
+        assert_eq!(table_len, table.len());
         assert_eq!(checksum, 0xdead_beef);
-        assert_eq!(payload_len, 350);
+        assert_eq!(decode_segment_table(table, 350).expect("table decodes"), segments);
+        assert!(matches!(decode_segment_table(table, 349), Err(TraceError::Corrupt(_))));
+        assert_eq!(decode_trailer(&trailer[1..]), Err(TraceError::Truncated));
     }
 
     #[test]
