@@ -1,11 +1,11 @@
 //! Compare every mechanism of Figure 4 on a memory-bound, pointer-chasing
 //! workload (the mcf-like profile) and show where the cycles go.
 //!
-//! Run with: `cargo run --release --example mechanism_comparison`
+//! Run with: `cargo run --release -p rsep-campaign --example mechanism_comparison`
 
-use rsep::core::{run_benchmark, MechanismConfig};
-use rsep::trace::{BenchmarkProfile, CheckpointSpec};
-use rsep::uarch::CoreConfig;
+use rsep_core::{run_benchmark, MechanismConfig};
+use rsep_trace::{BenchmarkProfile, CheckpointSpec};
+use rsep_uarch::CoreConfig;
 
 fn main() {
     let profile = BenchmarkProfile::by_name("mcf").expect("mcf profile exists");

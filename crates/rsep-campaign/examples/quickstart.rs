@@ -1,11 +1,11 @@
 //! Quick start: simulate one benchmark under the baseline and under RSEP,
 //! and print IPC, speedup, coverage and accuracy.
 //!
-//! Run with: `cargo run --release --example quickstart [benchmark]`
+//! Run with: `cargo run --release -p rsep-campaign --example quickstart [benchmark]`
 
-use rsep::core::{run_benchmark, MechanismConfig};
-use rsep::trace::{BenchmarkProfile, CheckpointSpec};
-use rsep::uarch::CoreConfig;
+use rsep_core::{run_benchmark, MechanismConfig};
+use rsep_trace::{BenchmarkProfile, CheckpointSpec};
+use rsep_uarch::CoreConfig;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "libquantum".to_string());

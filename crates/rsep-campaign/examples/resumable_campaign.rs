@@ -7,11 +7,11 @@
 //! 3. memoised in a content-addressed cache directory, then re-run after a
 //!    one-field config tweak (only the affected mechanism's cells rerun).
 //!
-//! Run with: `cargo run --release --example resumable_campaign`
+//! Run with: `cargo run --release -p rsep-campaign --example resumable_campaign`
 
-use rsep::campaign::{CachedStore, Campaign, CampaignSpec, JsonlStore};
-use rsep::core::{MechanismConfig, RsepConfig};
-use rsep::trace::CheckpointSpec;
+use rsep_campaign::{CachedStore, Campaign, CampaignSpec, JsonlStore};
+use rsep_core::{MechanismConfig, RsepConfig};
+use rsep_trace::CheckpointSpec;
 
 fn main() {
     let spec = CampaignSpec::new("resumable-demo")

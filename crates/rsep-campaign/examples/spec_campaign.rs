@@ -2,12 +2,12 @@
 //! prediction through the parallel campaign engine, and print a speedup
 //! table (a small-scale Figure 4).
 //!
-//! Run with: `cargo run --release --example spec_campaign`
+//! Run with: `cargo run --release -p rsep-campaign --example spec_campaign`
 //! Worker count comes from `RSEP_JOBS` (default: all cores).
 
-use rsep::campaign::{Campaign, CampaignSpec};
-use rsep::core::MechanismConfig;
-use rsep::trace::CheckpointSpec;
+use rsep_campaign::{Campaign, CampaignSpec};
+use rsep_core::MechanismConfig;
+use rsep_trace::CheckpointSpec;
 
 fn main() {
     let spec = CampaignSpec::new("spec-campaign")

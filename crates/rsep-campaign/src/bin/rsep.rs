@@ -545,7 +545,7 @@ fn attribution_text(cli: &Cli) -> Result<String, Failure> {
 fn attribution_text(_cli: &Cli) -> Result<String, Failure> {
     Err(runtime_error(
         "--attribution needs an instrumented build: rebuild with the `obs` feature, e.g.\n  \
-         cargo run --release --features obs --bin rsep -- run --attribution",
+         cargo run --release -p rsep-campaign --features obs --bin rsep -- run --attribution",
     ))
 }
 

@@ -86,7 +86,7 @@ use std::time::Duration;
 /// One benchmark row of a campaign: the baseline (when run) and one result
 /// per mechanism, in spec order.
 #[derive(Debug, Clone)]
-// lint: exempt(dead-pub-api, returned by Campaign::run for facade consumers; fields read downstream)
+// lint: exempt(dead-pub-api, returned by Campaign::run for library consumers; fields read downstream)
 pub struct ProfileResults {
     /// Benchmark name.
     pub benchmark: String,
@@ -204,7 +204,7 @@ impl Shard {
 
 /// Outcome of a store-backed campaign run ([`Campaign::run_stored`]).
 #[derive(Debug, Clone)]
-// lint: exempt(dead-pub-api, returned by Campaign::run_stored for facade consumers)
+// lint: exempt(dead-pub-api, returned by Campaign::run_stored for library consumers)
 pub struct StoredRun {
     /// The reassembled grid — `Some` exactly when every cell of the grid
     /// was resolved (no shard restriction, or a single-shard run). Sharded

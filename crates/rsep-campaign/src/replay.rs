@@ -80,7 +80,9 @@ pub fn record_campaign(
 /// A file recorded from a different profile calibration, seed or
 /// checkpoint scale would replay without error but produce a grid that
 /// silently differs from the live campaign — every header field the cell
-/// outcome depends on is therefore checked up front.
+/// outcome depends on is therefore checked up front, and so is every
+/// segment's record count (from the segment table) against the header's
+/// warm-up + measure.
 pub fn open_corpus(dir: &Path, spec: &CampaignSpec) -> Result<Vec<TraceFile>, String> {
     spec.profiles
         .iter()
@@ -113,6 +115,17 @@ pub fn open_corpus(dir: &Path, spec: &CampaignSpec) -> Result<Vec<TraceFile>, St
             }
             if h.measure != spec.checkpoints.measure {
                 return Err(mismatch("measure scale", &h.measure, &spec.checkpoints.measure));
+            }
+            // A short segment would drain mid-cell, and a drained trace
+            // ends the run without an error.
+            let needed = h.warmup + h.measure;
+            let short = file.segment_records().enumerate().find(|&(_, records)| records < needed);
+            if let Some((index, records)) = short {
+                return Err(format!(
+                    "{label}: segment {index} holds {records} records, fewer than the \
+                     {needed} of its header's warm-up + measure — re-record with \
+                     `rsep trace record`"
+                ));
             }
             Ok(file)
         })

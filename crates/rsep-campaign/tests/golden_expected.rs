@@ -2,8 +2,9 @@
 //! must reproduce the digests committed under `tests/expected/`, bit for
 //! bit.
 //!
-//! The golden-stats suite proves two *live* configurations agree with each
-//! other; this suite pins the results against a *committed* artifact, which
+//! The golden-stats suite checks the live runs against the core's
+//! debug-build select and skip checks; this suite pins the results against
+//! a *committed* artifact, which
 //! is what proves the `obs` feature changes nothing: CI runs these tests
 //! both with and without `--features obs`, and both builds must match the
 //! same committed file. Any simulator-behaviour change (intended or not)

@@ -1,12 +1,10 @@
 //! End-to-end integration tests across the workspace crates: trace
 //! generation -> cycle-level simulation -> RSEP/VP mechanisms -> statistics.
 
-use rsep::core::{
-    run_benchmark, MechanismConfig, RedundancyAnalyzer, RedundancyConfig, RsepConfig,
-};
-use rsep::stats::harmonic_mean;
-use rsep::trace::{BenchmarkProfile, CheckpointSpec, TraceGenerator};
-use rsep::uarch::{Core, CoreConfig};
+use rsep_core::{run_benchmark, MechanismConfig, RedundancyAnalyzer, RedundancyConfig, RsepConfig};
+use rsep_stats::harmonic_mean;
+use rsep_trace::{BenchmarkProfile, CheckpointSpec, TraceGenerator};
+use rsep_uarch::{Core, CoreConfig};
 
 fn quick_spec() -> CheckpointSpec {
     CheckpointSpec::scaled(1, 2_000, 6_000)
@@ -117,7 +115,7 @@ fn harmonic_mean_is_used_for_checkpoint_aggregation() {
 
 #[test]
 fn core_can_be_driven_directly_with_a_custom_engine() {
-    use rsep::core::RsepEngine;
+    use rsep_core::RsepEngine;
     let profile = BenchmarkProfile::by_name("hmmer").unwrap();
     let mut trace = TraceGenerator::new(&profile, 11);
     let engine = RsepEngine::new(MechanismConfig::rsep_realistic());

@@ -2,13 +2,13 @@
 //! These assert directional relationships (who has more redundancy, which
 //! structures cost more storage), not absolute numbers.
 
-use rsep::core::{
+use rsep_core::{
     IsrbConfig, MechanismConfig, RedundancyAnalyzer, RedundancyConfig, RsepConfig, VpConfig,
 };
-use rsep::predictors::DistancePredictorConfig;
-use rsep::trace::{BenchmarkProfile, TraceGenerator};
+use rsep_predictors::DistancePredictorConfig;
+use rsep_trace::{BenchmarkProfile, TraceGenerator};
 
-fn redundancy(name: &str) -> rsep::core::RedundancyReport {
+fn redundancy(name: &str) -> rsep_core::RedundancyReport {
     let profile = BenchmarkProfile::by_name(name).unwrap();
     let trace = TraceGenerator::new(&profile, 13).take(60_000);
     RedundancyAnalyzer::analyze(RedundancyConfig::default(), trace)

@@ -1,17 +1,18 @@
 //! Campaign replay from a recorded corpus: the recorder's counts match
-//! the files, and a corpus file rewritten in place after it was opened
-//! fails the cells that read the changed bytes, naming the segment,
-//! instead of running them short.
+//! the files, a corpus file rewritten in place after it was opened fails
+//! the cells that read the changed bytes, naming the segment, instead of
+//! running them short, and a file whose segment is shorter than its
+//! header's warm-up + measure is refused when the corpus is opened.
 
 use std::fs;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
 use rsep_campaign::{open_corpus, record_campaign, replay_campaign, CampaignSpec, Executor};
-use rsep_core::MechanismConfig;
-use rsep_trace::CheckpointSpec;
+use rsep_core::{checkpoint_seed, MechanismConfig};
+use rsep_trace::{BenchmarkProfile, CheckpointSpec, TraceGenerator};
 use rsep_tracefile::format::encode_header;
-use rsep_tracefile::{AnonScheme, TraceFile};
+use rsep_tracefile::{header_for, AnonScheme, TraceFile, TraceWriter};
 
 /// A unique, self-cleaning scratch directory per test.
 struct Scratch(PathBuf);
@@ -80,4 +81,27 @@ fn a_corpus_file_changed_after_open_fails_the_cells_of_its_segment() {
         assert!(error.contains(&segment), "the error names the segment: {error}");
         assert!(error.contains("changed since the file was opened"), "{error}");
     }
+}
+
+#[test]
+fn a_segment_shorter_than_its_header_is_refused_at_open() {
+    let scratch = Scratch::new("short");
+    let spec = spec().with_checkpoints(CheckpointSpec::scaled(1, 2_000, 8_000));
+    let profile = BenchmarkProfile::by_name("mcf").expect("known profile");
+    // A well-formed, checksum-valid file whose only segment holds 5,000
+    // records under a 2K + 8K header.
+    let path = scratch.0.join("mcf.rseptrc");
+    let header = header_for(&profile, &spec.checkpoints, spec.seed, AnonScheme::KeyedBlock);
+    let file = fs::File::create(&path).expect("create");
+    let mut writer = TraceWriter::new(file, header).expect("header");
+    writer.begin_segment().expect("segment");
+    let mut generator = TraceGenerator::new(&profile, checkpoint_seed(spec.seed, 0));
+    assert_eq!(writer.record_from(&mut generator, 5_000).expect("records"), 5_000);
+    writer.end_segment().expect("segment");
+    writer.finish().expect("footer");
+    TraceFile::open(&path).expect("the file itself is valid");
+
+    let error = open_corpus(&scratch.0, &spec).expect_err("a short segment must be refused");
+    assert!(error.starts_with(&path.display().to_string()), "names the file: {error}");
+    assert!(error.contains("segment 0 holds 5000 records"), "names the segment: {error}");
 }

@@ -326,8 +326,7 @@ pub fn lint_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
 
 /// Lints the workspace under `root` and returns all findings (exempted ones
 /// included) plus the number of files scanned. Scans `crates/*/{src,tests,
-/// benches,examples}` and the root `src/`, `tests/`, `benches/` and
-/// `examples/` trees; fixture directories are outside all of these and
+/// benches,examples}`; fixture directories are outside all of these and
 /// therefore never scanned.
 pub fn lint_workspace_full(root: &Path) -> Result<(Vec<Finding>, usize), String> {
     const TREES: [(&str, Tree); 4] = [
@@ -343,16 +342,10 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Vec<Finding>, usize), String>
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
-    // The workspace root is itself a crate (the facade); scan its trees
-    // last so crate files sort first in diagnostics of equal line.
-    crate_dirs.push(root.to_path_buf());
     let mut files = Vec::new();
     for cdir in &crate_dirs {
-        let crate_name = if cdir == root {
-            "rsep".to_string()
-        } else {
-            cdir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
-        };
+        let crate_name =
+            cdir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
         for (sub, tree) in TREES {
             let dir = cdir.join(sub);
             if !dir.is_dir() {

@@ -17,9 +17,8 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage: rsep-lint [--json] [ROOT]
 
-Walks ROOT/crates/*/{src,tests,benches,examples} plus the root src/, tests/
-and examples/ trees, builds a workspace symbol graph, and enforces the
-invariants:
+Walks ROOT/crates/*/{src,tests,benches,examples}, builds a workspace symbol
+graph, and enforces the invariants:
   fingerprint-coverage  every field of a struct with a manual `impl
                         Fingerprint` is referenced in its fingerprint() body
   fingerprint-exclusion-audit

@@ -162,7 +162,13 @@ impl TraceFile {
 
     /// Total instruction records across all segments.
     pub fn instructions(&self) -> u64 {
-        self.segments.iter().map(|s| s.count).sum()
+        self.segment_records().sum()
+    }
+
+    /// Instruction records of each segment, in order, as the segment
+    /// table states them (nothing is decoded).
+    pub fn segment_records(&self) -> impl Iterator<Item = u64> + '_ {
+        self.segments.iter().map(|s| s.count)
     }
 
     /// Payload size in bytes (encoded records only).

@@ -6,26 +6,6 @@
 //! unit inventory listed in the table and a three-level cache hierarchy in
 //! front of a DDR4-like memory latency.
 
-/// Which wakeup/select implementation the core uses.
-///
-/// Both produce bit-identical [`SimStats`](crate::SimStats) — the polling
-/// scan is retained as the oracle for the event-driven scheduler and is
-/// exercised against it by the golden-stats and property tests. Simulated
-/// behaviour is the same; only simulator throughput differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Event-driven wakeup: instructions enter a ready set exactly when
-    /// their last outstanding source is assigned a completion cycle, and
-    /// loads park on the store that blocks them. O(ready) per cycle, and
-    /// cycles in which no stage can act are skipped, not stepped.
-    #[default]
-    EventDriven,
-    /// The original full-ROB readiness rescan every cycle, stepping every
-    /// cycle. O(ROB × sources + stores) per cycle; kept as the reference
-    /// implementation.
-    Polling,
-}
-
 /// Front-end, back-end and memory parameters of the simulated core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
@@ -114,11 +94,6 @@ pub struct CoreConfig {
     pub l1d_prefetch: bool,
     /// Enable the L2/L3 stream prefetchers (degree 1).
     pub l2_prefetch: bool,
-    // ------------------------------------------------------- simulator
-    /// Wakeup/select implementation (identical simulated behaviour; see
-    /// [`SchedulerKind`]).
-    // lint: exempt(fingerprint-coverage, proven bit-identical variants must share cached cells; proven-by crates/rsep-campaign/tests/golden_stats.rs)
-    pub scheduler: SchedulerKind,
 }
 
 impl CoreConfig {
@@ -164,7 +139,6 @@ impl CoreConfig {
             dram_latency: 225,
             l1d_prefetch: true,
             l2_prefetch: true,
-            scheduler: SchedulerKind::EventDriven,
         }
     }
 
@@ -325,12 +299,6 @@ impl rsep_isa::Fingerprint for CoreConfig {
         self.dram_latency.fingerprint(h);
         self.l1d_prefetch.fingerprint(h);
         self.l2_prefetch.fingerprint(h);
-        // `scheduler` is deliberately NOT part of the fingerprint: both
-        // implementations are proven bit-identical (golden-stats and
-        // property tests), so cells cached under one mode stay valid for
-        // the other — and stores written before the field existed resume
-        // cleanly. (`rob`, `cache_layout` and `frontend` were the same
-        // kind of switch until their legacy backends were retired.)
     }
 }
 
@@ -382,22 +350,6 @@ mod tests {
         assert!(rows.iter().any(|(k, _)| k == "Caches"));
         assert!(rows.iter().any(|(_, v)| v.contains("192-entry ROB")));
         assert!(rows.iter().any(|(_, v)| v.contains("8-wide fetch")));
-    }
-
-    #[test]
-    fn scheduler_choice_does_not_change_the_fingerprint() {
-        use rsep_isa::Fingerprint;
-        let digest = |scheduler: SchedulerKind| {
-            let mut config = CoreConfig::table1();
-            config.scheduler = scheduler;
-            let mut h = rsep_isa::Fnv::new();
-            config.fingerprint(&mut h);
-            h.finish()
-        };
-        // Both modes are observationally identical, so cached cells must be
-        // shared between them (and with stores written before the field
-        // existed).
-        assert_eq!(digest(SchedulerKind::EventDriven), digest(SchedulerKind::Polling));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 #[cfg(feature = "obs")]
 use crate::attribution::{RenameBlock, StageAttribution};
 use crate::cache::{AccessKind, CacheHierarchy};
-use crate::config::{CoreConfig, SchedulerKind};
+use crate::config::CoreConfig;
 use crate::engine::{Disposition, RenameAction, RenameContext, SpecEngine, ValidationKind};
 use crate::regfile::{PhysRegFile, RegisterFiles, NOT_READY};
 use crate::rename::RenameMap;
@@ -170,8 +170,18 @@ struct PendingValidation {
     op: OpClass,
 }
 
+/// The counters a quiescent skip charges in bulk, compared with stepping
+/// the same cycles by the debug-build skip check.
+#[cfg(debug_assertions)]
+#[derive(Debug, PartialEq)]
+struct Counters {
+    stats: SimStats,
+    #[cfg(feature = "obs")]
+    attribution: StageAttribution,
+}
+
 /// Per-cycle issue-port budget (Table I functional units).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PortBudget {
     slots: usize,
     alu: usize,
@@ -621,11 +631,10 @@ impl<E: SpecEngine> Core<E> {
     /// and the pipeline drains). Returns the number of instructions
     /// actually committed.
     ///
-    /// Under [`SchedulerKind::EventDriven`], cycles in which no stage can
-    /// act are not stepped: the clock jumps to the next event and the
-    /// per-cycle counters are added in bulk (see
-    /// `Core::skip_quiescent_cycles`). The results are bit-identical to
-    /// stepping every cycle, which [`SchedulerKind::Polling`] still does.
+    /// Cycles in which no stage can act are not stepped: the clock jumps
+    /// to the next event and the per-cycle counters are added in bulk (see
+    /// `Core::skip_quiescent_cycles`). Debug builds step every skipped
+    /// span as well and check that stepping it gives the same counters.
     ///
     /// # Errors
     ///
@@ -657,9 +666,7 @@ impl<E: SpecEngine> Core<E> {
         self.trace_done = false;
         self.last_commit_cycle = self.clock;
         while self.stats.committed < target {
-            if self.config.scheduler == SchedulerKind::EventDriven {
-                self.skip_quiescent_cycles();
-            }
+            self.skip_quiescent_cycles(trace);
             self.step(trace)?;
             if self.trace_done
                 && self.rob.is_empty()
@@ -703,11 +710,11 @@ impl<E: SpecEngine> Core<E> {
     /// cycle at which one might, together with rename's stall (constant
     /// until then). Returns `None` when some stage can act now.
     ///
-    /// Under the event-driven scheduler every stage's next action waits on
-    /// one of these events: a calendar wakeup or a validation µ-op coming
-    /// due (issue), the ROB head or the pending-redirect branch completing
-    /// (commit, redirect resolution), the fetch-queue front clearing decode
-    /// (rename), or `fetch_resume_at` (fetch). Rename's structural stalls
+    /// Every stage's next action waits on one of these events: a calendar
+    /// wakeup or a validation µ-op coming due (issue), the ROB head or the
+    /// pending-redirect branch completing (commit, redirect resolution),
+    /// the fetch-queue front clearing decode (rename), or
+    /// `fetch_resume_at` (fetch). Rename's structural stalls
     /// and a full fetch queue only clear when an instruction issues,
     /// commits or is squashed, which the same events gate. The bound may
     /// be early (a stale calendar entry, an event that turns out to change
@@ -761,8 +768,10 @@ impl<E: SpecEngine> Core<E> {
     /// and, in the `obs` build, one class per stage for every skipped
     /// cycle. The jump stops one cycle short of the deadlock bound in
     /// [`Core::run`], so deadlock errors happen at exactly the stepped
-    /// cycle.
-    fn skip_quiescent_cycles(&mut self) {
+    /// cycle. Debug builds then step the same span to check the jump (see
+    /// [`Core::check_skip_by_stepping`]).
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn skip_quiescent_cycles(&mut self, trace: &mut impl Iterator<Item = DynInst>) {
         let Some((event, stall)) = self.quiescent_until() else {
             return;
         };
@@ -770,6 +779,8 @@ impl<E: SpecEngine> Core<E> {
         if until <= self.clock {
             return;
         }
+        #[cfg(debug_assertions)]
+        let unskipped = self.counters();
         let span = until - self.clock;
         self.stats.cycles += span;
         self.stats.rob_occupancy_sum += self.rob.len() as u64 * span;
@@ -787,6 +798,79 @@ impl<E: SpecEngine> Core<E> {
             );
         }
         self.clock = until;
+        #[cfg(debug_assertions)]
+        self.check_skip_by_stepping(trace, span, unskipped);
+    }
+
+    /// Debug-build check of the skip that just moved the clock `span`
+    /// cycles ahead: puts back the counters from before the jump, steps the
+    /// same cycles one by one and asserts that no stepped cycle commits,
+    /// issues, dispatches or fetches, that the clock lands where the jump
+    /// did, and that the stepped counters equal the bulk charge.
+    #[cfg(debug_assertions)]
+    fn check_skip_by_stepping(
+        &mut self,
+        trace: &mut impl Iterator<Item = DynInst>,
+        span: u64,
+        unskipped: Counters,
+    ) {
+        let until = self.clock;
+        let bulk = self.replace_counters(unskipped);
+        self.clock = until - span;
+        let idle = self.activity();
+        for _ in 0..span {
+            self.step(trace).expect("a quiescent cycle dispatches nothing");
+            assert_eq!(
+                self.activity(),
+                idle,
+                "skip check: cycle {} of a skipped span did work (engine={})",
+                self.clock - 1,
+                self.engine.name()
+            );
+        }
+        assert_eq!(self.clock, until, "skip check: stepping did not land where the jump did");
+        assert_eq!(
+            self.counters(),
+            bulk,
+            "skip check: stepping cycles {}..{until} differs from their bulk charge (engine={})",
+            until - span,
+            self.engine.name()
+        );
+    }
+
+    /// The counters a quiescent skip charges in bulk (debug-build check).
+    #[cfg(debug_assertions)]
+    fn counters(&self) -> Counters {
+        Counters {
+            stats: self.stats.clone(),
+            #[cfg(feature = "obs")]
+            attribution: self.attribution.clone(),
+        }
+    }
+
+    /// Swaps in `counters`, returning the ones they replace.
+    #[cfg(debug_assertions)]
+    fn replace_counters(&mut self, counters: Counters) -> Counters {
+        Counters {
+            stats: std::mem::replace(&mut self.stats, counters.stats),
+            #[cfg(feature = "obs")]
+            attribution: std::mem::replace(&mut self.attribution, counters.attribution),
+        }
+    }
+
+    /// What changes when any stage acts: dispatch bumps the generation,
+    /// issue drains the IQ or the validation list, commit shrinks the ROB
+    /// and fetch grows the fetch queue or drains the replay queue.
+    #[cfg(debug_assertions)]
+    fn activity(&self) -> (u64, usize, usize, usize, usize, usize) {
+        (
+            self.dispatch_gen,
+            self.iq_count,
+            self.pending_validations.len(),
+            self.rob.len(),
+            self.fetch_queue.len(),
+            self.replay.len(),
+        )
     }
 
     // ------------------------------------------------------------ commit
@@ -991,13 +1075,6 @@ impl<E: SpecEngine> Core<E> {
 
     // ------------------------------------------------------------- issue
 
-    fn issue(&mut self) {
-        match self.config.scheduler {
-            SchedulerKind::EventDriven => self.issue_event(),
-            SchedulerKind::Polling => self.issue_polling(),
-        }
-    }
-
     /// Issues validation µ-ops first: they are prioritised so they issue
     /// back-to-back with the instruction they validate (Section IV-F1).
     fn issue_validations(&mut self, ports: &mut PortBudget) {
@@ -1027,9 +1104,9 @@ impl<E: SpecEngine> Core<E> {
     }
 
     /// Event-driven select: iterate only the ready set (populated by wakeup
-    /// events), oldest first. Observationally identical to
-    /// [`Core::issue_polling`], which is kept as the oracle.
-    fn issue_event(&mut self) {
+    /// events), oldest first. Debug builds check every cycle's choice
+    /// against a rescan of the whole ROB (see [`Core::rescan_select`]).
+    fn issue(&mut self) {
         let clock = self.clock;
         self.sched.advance(clock);
         let mut ports = PortBudget::new(&self.config);
@@ -1041,6 +1118,8 @@ impl<E: SpecEngine> Core<E> {
         let (validations_before, conflicts_before) =
             (self.stats.validation_issues, self.stats.validation_port_conflicts);
         self.issue_validations(&mut ports);
+        #[cfg(debug_assertions)]
+        let rescan = self.rescan_select(ports.clone(), div_free, fpdiv_free);
 
         // Walk the ready set in place, oldest first (nothing inserts into
         // it during select — wakeups land in the calendar and store
@@ -1092,6 +1171,14 @@ impl<E: SpecEngine> Core<E> {
             self.sched.remove_ready_at(idx);
             issued.push(slot);
         }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            issued,
+            rescan,
+            "select check: the ready set and a ROB rescan choose different instructions at \
+             cycle {clock} (engine={})",
+            self.engine.name()
+        );
         for &slot in &issued {
             self.issue_inst(slot);
         }
@@ -1123,75 +1210,41 @@ impl<E: SpecEngine> Core<E> {
         self.attribution.classify_issue(issued, blocked, self.iq_count, miss_outstanding);
     }
 
-    /// Polling select (the original implementation, kept as the oracle for
-    /// the event-driven scheduler): re-derive readiness by scanning the
-    /// whole ROB, oldest first.
-    fn issue_polling(&mut self) {
+    /// Debug-build check of [`Core::issue`]: what a rescan of the whole
+    /// ROB, oldest first, issues from the same port budget. An instruction
+    /// is a candidate when it waits in the IQ, all its sources are ready
+    /// this cycle and, for a load, the youngest older store to the same
+    /// double-word has issued.
+    #[cfg(debug_assertions)]
+    fn rescan_select(
+        &self,
+        mut ports: PortBudget,
+        div_free: bool,
+        fpdiv_free: bool,
+    ) -> Vec<InstSlot> {
         let clock = self.clock;
-        let mut ports = PortBudget::new(&self.config);
-        let div_free = self.div_busy_until <= self.clock;
-        let fpdiv_free = self.fpdiv_busy_until <= self.clock;
-        #[cfg(feature = "obs")]
-        let mut port_blocked = 0u64;
-        #[cfg(feature = "obs")]
-        let (validations_before, conflicts_before) =
-            (self.stats.validation_issues, self.stats.validation_port_conflicts);
-        self.issue_validations(&mut ports);
-
-        let mut issued = std::mem::take(&mut self.issued_scratch);
-        debug_assert!(issued.is_empty());
-        {
-            let regs = &self.regs;
-            let stores = &self.store_queue;
-            for entry in self.rob.iter() {
-                if ports.exhausted() {
-                    break;
-                }
-                if !entry.in_iq || entry.issued || entry.eliminated {
-                    continue;
-                }
-                let sources_ready = entry.src_pregs.iter().all(|&p| regs.is_ready(p, clock));
-                if !sources_ready {
-                    continue;
-                }
-                if entry.inst.op.is_load() {
-                    // Memory disambiguation: wait for the youngest older
-                    // same-double-word store (the one the load would read
-                    // from) to have issued.
-                    if let Some(m) = entry.inst.mem {
-                        let blocked = stores
-                            .youngest_older(m.addr >> 3, entry.seq())
-                            .is_some_and(|s| !s.issued);
-                        if blocked {
-                            continue;
-                        }
-                    }
-                }
-                if !ports.try_issue(entry.inst.op, div_free, fpdiv_free) {
-                    obs! {
-                        port_blocked += 1;
-                    }
-                    continue;
-                }
+        let mut issued = Vec::new();
+        for entry in self.rob.iter() {
+            if ports.exhausted() {
+                break;
+            }
+            if !entry.in_iq || entry.issued || entry.eliminated {
+                continue;
+            }
+            if !entry.src_pregs.iter().all(|&p| self.regs.is_ready(p, clock)) {
+                continue;
+            }
+            let blocked = entry.inst.op.is_load()
+                && entry.inst.mem.is_some_and(|m| {
+                    self.store_queue
+                        .youngest_older(m.addr >> 3, entry.seq())
+                        .is_some_and(|s| !s.issued)
+                });
+            if !blocked && ports.try_issue(entry.inst.op, div_free, fpdiv_free) {
                 issued.push(entry.slot());
             }
         }
-
-        // Apply the issue decisions (needs mutable access to several parts
-        // of `self`, hence the select-then-apply structure).
-        for &slot in &issued {
-            self.issue_inst(slot);
-        }
-        obs! {
-            self.classify_issue_cycle(
-                issued.len() as u64,
-                validations_before,
-                port_blocked,
-                conflicts_before,
-            );
-        }
-        issued.clear();
-        self.issued_scratch = issued;
+        issued
     }
 
     /// Issues one selected instruction: resolves its completion cycle
@@ -1298,9 +1351,6 @@ impl<E: SpecEngine> Core<E> {
     /// last outstanding source it was (event-driven wakeup on writeback).
     fn set_ready_and_wake(&mut self, preg: PhysReg, cycle: u64) {
         self.regs.set_ready_at(preg, cycle);
-        if self.config.scheduler == SchedulerKind::Polling {
-            return;
-        }
         let mut waiters = std::mem::take(&mut self.wake_scratch);
         self.regs.take_waiters_into(preg, &mut waiters);
         for &w in &waiters {
@@ -1505,7 +1555,7 @@ impl<E: SpecEngine> Core<E> {
         let slot = InstSlot { seq: inst.seq, gen };
         let mut pending_srcs = 0u32;
         let mut wake_at = clock + 1;
-        if in_iq && self.config.scheduler == SchedulerKind::EventDriven {
+        if in_iq {
             for &p in &src_pregs {
                 let ready = self.regs.ready_at(p);
                 if ready == NOT_READY {
@@ -1894,60 +1944,53 @@ mod tests {
         // store A (data from a slow divide chain) and store B (data ready)
         // write the same double-word; a younger load must forward from B —
         // the *youngest older* store — without waiting for A to issue.
-        for scheduler in [SchedulerKind::EventDriven, SchedulerKind::Polling] {
-            let mut config = CoreConfig::small_test();
-            config.scheduler = scheduler;
-            let mut core = Core::baseline(config);
-            let addr = 0x2000_0000u64;
-            let insts = vec![
-                DynInstBuilder::new(0, 0x40_0000, OpClass::IntDiv)
-                    .dest(ArchReg::int(7))
-                    .result(1)
-                    .build(),
-                DynInstBuilder::new(1, 0x40_0004, OpClass::IntDiv)
-                    .dest(ArchReg::int(7))
-                    .src(ArchReg::int(7))
-                    .result(2)
-                    .build(),
-                // Store A: waits ~50 cycles for the divide chain.
-                DynInstBuilder::new(2, 0x40_0008, OpClass::Store)
-                    .src(ArchReg::int(7))
-                    .result(2)
-                    .mem(addr, 8)
-                    .build(),
-                // Store B: same address, data ready immediately.
-                DynInstBuilder::new(3, 0x40_000c, OpClass::Store)
-                    .src(ArchReg::int(1))
-                    .result(9)
-                    .mem(addr, 8)
-                    .build(),
-                DynInstBuilder::new(4, 0x40_0010, OpClass::Load)
-                    .dest(ArchReg::int(2))
-                    .result(9)
-                    .mem(addr, 8)
-                    .build(),
-            ];
-            let mut trace = insts.into_iter();
-            let mut load_issued = false;
-            for _ in 0..300 {
-                core.step(&mut trace).unwrap();
-                if core.rob.find_by_seq(4).is_some_and(|e| e.issued) {
-                    load_issued = true;
-                    break;
-                }
+        let mut core = Core::baseline(CoreConfig::small_test());
+        let addr = 0x2000_0000u64;
+        let insts = vec![
+            DynInstBuilder::new(0, 0x40_0000, OpClass::IntDiv)
+                .dest(ArchReg::int(7))
+                .result(1)
+                .build(),
+            DynInstBuilder::new(1, 0x40_0004, OpClass::IntDiv)
+                .dest(ArchReg::int(7))
+                .src(ArchReg::int(7))
+                .result(2)
+                .build(),
+            // Store A: waits ~50 cycles for the divide chain.
+            DynInstBuilder::new(2, 0x40_0008, OpClass::Store)
+                .src(ArchReg::int(7))
+                .result(2)
+                .mem(addr, 8)
+                .build(),
+            // Store B: same address, data ready immediately.
+            DynInstBuilder::new(3, 0x40_000c, OpClass::Store)
+                .src(ArchReg::int(1))
+                .result(9)
+                .mem(addr, 8)
+                .build(),
+            DynInstBuilder::new(4, 0x40_0010, OpClass::Load)
+                .dest(ArchReg::int(2))
+                .result(9)
+                .mem(addr, 8)
+                .build(),
+        ];
+        let mut trace = insts.into_iter();
+        let mut load_issued = false;
+        for _ in 0..300 {
+            core.step(&mut trace).unwrap();
+            if core.rob.find_by_seq(4).is_some_and(|e| e.issued) {
+                load_issued = true;
+                break;
             }
-            assert!(load_issued, "{scheduler:?}: load never issued");
-            // The decisive ordering check: at the cycle the load issued,
-            // the *older* same-address store A is still waiting on its
-            // divide chain. Under the old any-older-store rule the load
-            // could not have issued yet.
-            let store_a = core.rob.find_by_seq(2).expect("store A still in flight");
-            assert!(
-                !store_a.issued,
-                "{scheduler:?}: store A must still be waiting on the divide chain"
-            );
-            assert_eq!(core.stats.stlf_forwards, 1, "{scheduler:?}: expected one forwarding");
         }
+        assert!(load_issued, "load never issued");
+        // The decisive ordering check: at the cycle the load issued,
+        // the *older* same-address store A is still waiting on its
+        // divide chain. Under the old any-older-store rule the load
+        // could not have issued yet.
+        let store_a = core.rob.find_by_seq(2).expect("store A still in flight");
+        assert!(!store_a.issued, "store A must still be waiting on the divide chain");
+        assert_eq!(core.stats.stlf_forwards, 1, "expected one forwarding");
     }
 
     #[test]
@@ -2178,20 +2221,16 @@ mod tests {
     #[test]
     fn event_driven_select_matches_the_polling_oracle_on_generated_traces() {
         use rsep_trace::{BenchmarkProfile, TraceGenerator};
+        // Debug builds check every issue cycle against the ROB rescan the
+        // polling scheduler used and step every skipped span, so one run
+        // per trace compares the two.
         for name in ["gcc", "mcf", "libquantum"] {
             let profile = BenchmarkProfile::by_name(name).unwrap();
             for seed in [1u64, 7] {
-                let run = |scheduler: SchedulerKind| {
-                    let mut config = CoreConfig::small_test();
-                    config.scheduler = scheduler;
-                    let mut core = Core::baseline(config);
-                    let mut trace = TraceGenerator::new(&profile, seed);
-                    core.run(&mut trace, 20_000).unwrap();
-                    core.take_stats()
-                };
-                let event = run(SchedulerKind::EventDriven);
-                let polling = run(SchedulerKind::Polling);
-                assert_eq!(event, polling, "{name} seed {seed}: scheduler modes diverge");
+                let mut core = Core::baseline(CoreConfig::small_test());
+                let mut trace = TraceGenerator::new(&profile, seed);
+                let committed = core.run(&mut trace, 20_000).unwrap();
+                assert!(committed >= 20_000, "{name} seed {seed}: {committed} committed");
             }
         }
     }

@@ -57,7 +57,7 @@ pub use attribution::{FetchCycles, IssueCycles, RenameBlock, RenameCycles};
 // lint: exempt(obs-gate, re-export of the always-compiled attribution types)
 pub use attribution::{StageAttribution, WorkCounts};
 pub use cache::{AccessKind, Cache, CacheHierarchy, CacheStats, MemRequest, StridePrefetcher};
-pub use config::{CoreConfig, SchedulerKind};
+pub use config::CoreConfig;
 pub use core::{Core, SimError};
 pub use engine::{
     Disposition, NullEngine, RenameAction, RenameContext, SpecEngine, ValidationKind,

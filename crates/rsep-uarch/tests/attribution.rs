@@ -5,9 +5,10 @@
 //! synthetic inputs; these tests drive the *real* core over real generated
 //! traces and check the structural invariant the whole feature rests on:
 //! every cycle is attributed to exactly one class per stage, so each
-//! stage's counters sum to `SimStats::cycles` — on any workload, under
-//! either scheduler, and across `reset_stats` — and that the cycles the
-//! event-driven scheduler skips are attributed exactly as stepped ones. The
+//! stage's counters sum to `SimStats::cycles` — on any workload and across
+//! `reset_stats` — and that the cycles the core skips are attributed
+//! exactly as stepped ones (which the core itself checks in a debug build,
+//! by stepping every span it skips). The
 //! property tests check that [`StageAttribution::merge`] is associative
 //! and commutative on arbitrary counter values, which is what lets
 //! checkpoint attributions be merged in any grouping.
@@ -17,15 +18,13 @@
 use proptest::collection;
 use proptest::prelude::*;
 use rsep_trace::{BenchmarkProfile, TraceGenerator};
-use rsep_uarch::{Core, CoreConfig, SchedulerKind, StageAttribution};
+use rsep_uarch::{Core, CoreConfig, StageAttribution};
 
 /// Runs `commits` instructions of `profile` on a fresh baseline core and
 /// returns the validated attribution.
-fn run_attributed(profile: &str, commits: u64, scheduler: SchedulerKind) -> StageAttribution {
+fn run_attributed(profile: &str, commits: u64) -> StageAttribution {
     let profile = BenchmarkProfile::by_name(profile).expect("known profile");
-    let mut config = CoreConfig::table1();
-    config.scheduler = scheduler;
-    let mut core = Core::baseline(config);
+    let mut core = Core::baseline(CoreConfig::table1());
     let mut trace = TraceGenerator::new(&profile, 42).take(commits as usize + 2_000);
     core.run(&mut trace, commits).expect("trace cannot wedge");
     let attribution = core.take_attribution().expect("obs build");
@@ -38,25 +37,22 @@ fn run_attributed(profile: &str, commits: u64, scheduler: SchedulerKind) -> Stag
 #[test]
 fn stage_counters_sum_to_cycles_on_real_traces() {
     for profile in ["gcc", "mcf"] {
-        for scheduler in [SchedulerKind::EventDriven, SchedulerKind::Polling] {
-            let a = run_attributed(profile, 5_000, scheduler);
-            // Work counters are sanity-bounded, not exact: every cycle
-            // loop commits at least the requested instructions.
-            assert!(a.work.insts_issued >= 5_000, "{profile}: {a:?}");
-            assert!(a.commit_slots.iter().sum::<u64>() == a.cycles);
-        }
+        let a = run_attributed(profile, 5_000);
+        // Work counters are sanity-bounded, not exact: every cycle loop
+        // commits at least the requested instructions.
+        assert!(a.work.insts_issued >= 5_000, "{profile}: {a:?}");
+        assert!(a.commit_slots.iter().sum::<u64>() == a.cycles);
     }
 }
 
 #[test]
 fn skipped_cycles_are_attributed_exactly_as_stepped_ones() {
-    // The event-driven scheduler jumps over cycles in which no stage can
-    // act and attributes them in bulk; polling steps every cycle. Their
-    // attributions must agree counter for counter.
+    // The core jumps over cycles in which no stage can act and attributes
+    // them in bulk. A debug build also steps each skipped span and panics
+    // unless the stepped attribution equals the bulk one counter for
+    // counter, so one run per profile checks every skip it makes.
     for profile in ["gcc", "mcf", "libquantum"] {
-        let skipping = run_attributed(profile, 20_000, SchedulerKind::EventDriven);
-        let stepping = run_attributed(profile, 20_000, SchedulerKind::Polling);
-        assert_eq!(skipping, stepping, "{profile}: attribution diverges");
+        run_attributed(profile, 20_000);
     }
 }
 

@@ -1,18 +1,17 @@
-//! Property test: the event-driven scheduler is observationally equivalent
-//! to the polling oracle.
+//! Property test: the event-driven select issues what a full-ROB rescan
+//! would, on every cycle of random instruction DAGs.
 //!
 //! Random instruction DAGs — mixed op classes, dense register reuse (real
 //! dependency chains), same-double-word store/load collisions and
-//! hard-to-predict branches — are simulated under both
-//! [`SchedulerKind::Polling`] (the original full-ROB rescan, kept as the
-//! oracle) and [`SchedulerKind::EventDriven`]. Retirement is in program
-//! order by construction, so equality of the full [`SimStats`] (cycles,
-//! commit counts, forwarding, stalls, cache counters) proves identical
-//! retirement order and timing.
+//! hard-to-predict branches — run on the baseline core. In a debug build
+//! the core compares each issue cycle's choice with a rescan of the whole
+//! ROB (the select of the retired polling scheduler) and steps every
+//! quiescent span it skips, panicking on any difference, so each case is
+//! one run that must commit every instruction.
 
 use proptest::prelude::*;
 use rsep_isa::{ArchReg, BranchKind, DynInst, DynInstBuilder, OpClass};
-use rsep_uarch::{Core, CoreConfig, SchedulerKind, SimStats};
+use rsep_uarch::{Core, CoreConfig, SimStats};
 
 /// One raw generated instruction: `(op selector, dest, src1, src2,
 /// address selector, value)`.
@@ -64,18 +63,16 @@ fn decode(seq: u64, raw: RawInst) -> DynInst {
     }
 }
 
-fn simulate(insts: &[DynInst], scheduler: SchedulerKind) -> SimStats {
-    let mut config = CoreConfig::small_test();
-    config.scheduler = scheduler;
-    let mut core = Core::baseline(config);
+fn simulate(insts: &[DynInst]) -> SimStats {
+    let mut core = Core::baseline(CoreConfig::small_test());
     let mut trace = insts.iter().cloned();
     core.run(&mut trace, insts.len() as u64).expect("random DAGs cannot wedge the baseline");
     core.take_stats()
 }
 
 proptest! {
-    /// For every random DAG, both schedulers commit every instruction and
-    /// produce bit-identical statistics.
+    /// Every random DAG commits in full with the select and skip checks
+    /// passing on every cycle.
     #[test]
     fn event_driven_matches_polling_on_random_dags(
         raws in collection::vec(
@@ -85,9 +82,6 @@ proptest! {
     ) {
         let insts: Vec<DynInst> =
             raws.iter().enumerate().map(|(i, &raw)| decode(i as u64, raw)).collect();
-        let event = simulate(&insts, SchedulerKind::EventDriven);
-        let polling = simulate(&insts, SchedulerKind::Polling);
-        prop_assert_eq!(event.committed, insts.len() as u64);
-        prop_assert_eq!(&event, &polling);
+        prop_assert_eq!(simulate(&insts).committed, insts.len() as u64);
     }
 }
