@@ -78,7 +78,10 @@ impl BenchRecord {
 /// which passes through [`black_box`] so the work cannot be optimised
 /// away. This is the benches' one clock read.
 pub fn timed<T>(run: impl FnOnce() -> T) -> (f64, T) {
-    // lint: exempt(determinism, bench measures wall-clock throughput; timings never enter simulation results)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench measures wall-clock throughput; timings never enter simulation results"
+    )]
     let start = Instant::now();
     let out = black_box(run());
     (start.elapsed().as_secs_f64(), out)
@@ -132,7 +135,10 @@ pub fn max_rss_kb() -> Option<u64> {
 
 /// Current time as `YYYY-MM-DDTHH:MM:SSZ`.
 fn utc_now() -> String {
-    // lint: exempt(determinism, bench-record host metadata; records are not simulation results)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench-record host metadata; records are not simulation results"
+    )]
     let now = SystemTime::now();
     format_utc(now.duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or_default())
 }

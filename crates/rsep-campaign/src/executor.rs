@@ -116,7 +116,10 @@ impl Executor {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        // lint: exempt(determinism, progress-heartbeat timing only; never reaches results)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress-heartbeat timing only; never reaches results"
+        )]
         let start = Instant::now();
         let cells = indices.len();
         let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
@@ -125,7 +128,10 @@ impl Executor {
         if jobs <= 1 {
             let mut busy = Duration::ZERO;
             for (done, &index) in indices.iter().enumerate() {
-                // lint: exempt(determinism, progress-heartbeat timing only; never reaches results)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "progress-heartbeat timing only; never reaches results"
+                )]
                 let cell_start = Instant::now();
                 let value = cell(index);
                 busy += cell_start.elapsed();
@@ -162,7 +168,10 @@ impl Executor {
                         Ok(index) => index,
                         Err(_) => break,
                     };
-                    // lint: exempt(determinism, progress-heartbeat timing only; never reaches results)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "progress-heartbeat timing only; never reaches results"
+                    )]
                     let cell_start = Instant::now();
                     let value = cell(index);
                     if result_tx.send((index, cell_start.elapsed(), value)).is_err() {

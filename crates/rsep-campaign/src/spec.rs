@@ -46,20 +46,21 @@ pub struct CampaignSpec {
 
 impl Fingerprint for CampaignSpec {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { id, profiles, mechanisms, baseline, core_config, checkpoints, seed } = self;
         h.write_str("CampaignSpec");
-        self.id.fingerprint(h);
-        self.profiles.fingerprint(h);
-        self.mechanisms.fingerprint(h);
+        id.fingerprint(h);
+        profiles.fingerprint(h);
+        mechanisms.fingerprint(h);
         // Labels are excluded from MechanismConfig fingerprints (cells do
         // not depend on them) but *are* part of a campaign's identity: two
         // campaigns whose reports label series differently are different.
-        for m in &self.mechanisms {
+        for m in mechanisms {
             m.label.fingerprint(h);
         }
-        self.baseline.fingerprint(h);
-        self.core_config.fingerprint(h);
-        self.checkpoints.fingerprint(h);
-        self.seed.fingerprint(h);
+        baseline.fingerprint(h);
+        core_config.fingerprint(h);
+        checkpoints.fingerprint(h);
+        seed.fingerprint(h);
     }
 }
 

@@ -31,7 +31,10 @@ use rsep_stats::json::Json;
 use rsep_stats::jsonl;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec};
 use rsep_uarch::{CacheStats, CoreConfig, CoverageCounts, SimStats};
-// lint: exempt(determinism, cell results are keyed by CellKey and emitted in grid order)
+#[expect(
+    clippy::disallowed_types,
+    reason = "cell results are keyed by CellKey and emitted in grid order"
+)]
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -541,7 +544,10 @@ impl ResultStore for MemoryStore {
 pub struct JsonlStore {
     path: PathBuf,
     header: Option<CampaignHeader>,
-    // lint: exempt(determinism, keyed lookup cache; reports iterate the grid, never this map)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup cache; reports iterate the grid, never this map"
+    )]
     cells: HashMap<CellKey, CheckpointResult>,
     file: Option<fs::File>,
     /// Bytes of the preexisting file covered by complete lines; anything
@@ -562,7 +568,10 @@ impl JsonlStore {
         let mut store = JsonlStore {
             path: path.clone(),
             header: None,
-            // lint: exempt(determinism, keyed lookup cache; reports iterate the grid, never this map)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "keyed lookup cache; reports iterate the grid, never this map"
+            )]
             cells: HashMap::new(),
             file: None,
             durable_len: 0,

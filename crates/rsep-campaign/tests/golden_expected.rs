@@ -2,9 +2,10 @@
 //! must reproduce the digests committed under `tests/expected/`, bit for
 //! bit.
 //!
-//! The golden-stats suite checks the live runs against the core's
-//! debug-build select and skip checks; this suite pins the results against
-//! a *committed* artifact, which
+//! In a debug build every cell here also runs the core's select and skip
+//! checks, so the fig4 and fig7 runs double as the golden-stats suite's
+//! smoke arms for those figures. On top of that, this suite pins the
+//! results against a *committed* artifact, which
 //! is what proves the `obs` feature changes nothing: CI runs these tests
 //! both with and without `--features obs`, and both builds must match the
 //! same committed file. Any simulator-behaviour change (intended or not)

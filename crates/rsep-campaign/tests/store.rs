@@ -4,10 +4,11 @@
 
 use proptest::prelude::*;
 use rsep_campaign::{
-    merge_stored, CachedStore, Campaign, CampaignHeader, CampaignSpec, CellKey, JsonlStore,
-    ResultStore, Shard, StoreError,
+    merge_stored, presets, CachedStore, Campaign, CampaignHeader, CampaignSpec, CellKey,
+    JsonlStore, ResultStore, Shard, StoreError,
 };
 use rsep_core::{checkpoint_seed, CheckpointResult, MechanismConfig, RsepConfig};
+use rsep_isa::{Fingerprint, FoldHash};
 use rsep_trace::{BenchmarkProfile, CheckpointSpec};
 use rsep_uarch::CoreConfig;
 use std::fs;
@@ -322,6 +323,122 @@ fn cell_key_changes_when_any_fingerprinted_field_changes() {
 
     assert_ne!(base, key_for(&profile, &mechanism, &core, spec, 43, 0), "seed");
     assert_ne!(base, key_for(&profile, &mechanism, &core, spec, 42, 1), "checkpoint");
+}
+
+/// Every fingerprint the presets feed into cell and campaign keys, by name.
+fn preset_fingerprints() -> Vec<(String, u64)> {
+    let mut out = vec![
+        ("core/table1".to_string(), CoreConfig::table1().fingerprint_value()),
+        ("core/small_test".to_string(), CoreConfig::small_test().fingerprint_value()),
+        ("mechanism/baseline".to_string(), MechanismConfig::baseline().fingerprint_value()),
+    ];
+    let specs =
+        [presets::fig1(), presets::fig4(), presets::fig5(), presets::fig6(), presets::fig7()]
+            .into_iter()
+            .chain(presets::sweeps());
+    for spec in specs {
+        for m in &spec.mechanisms {
+            out.push((format!("mechanism/{}/{}", spec.id, m.label), m.fingerprint_value()));
+        }
+        out.push((format!("spec/{}", spec.id), spec.smoke().fingerprint_value()));
+    }
+    for p in BenchmarkProfile::spec2006() {
+        out.push((format!("profile/{}", p.name), p.fingerprint_value()));
+    }
+    out.push((
+        "fold_hash/paper_default".to_string(),
+        FoldHash::paper_default().fingerprint_value(),
+    ));
+    out
+}
+
+/// Pinned fingerprint values: a reordered, dropped or added write changes
+/// one of them and every cached cell key with it. Like the golden digests,
+/// the campaign entries assume `RSEP_SEED` and `RSEP_BENCHMARKS` are unset.
+const PINNED_FINGERPRINTS: &[(&str, u64)] = &[
+    ("core/table1", 0x8830855f8a086429),
+    ("core/small_test", 0x191e24d78170b0fc),
+    ("mechanism/baseline", 0x1767e071a8a00e04),
+    ("spec/figure1", 0x9ec1038586117e87),
+    ("mechanism/figure4/zero-pred", 0x64e78ac8ec57b4bd),
+    ("mechanism/figure4/move-elim", 0x1cc093584b964e85),
+    ("mechanism/figure4/rsep-ideal", 0xbb92249fdf1731c0),
+    ("mechanism/figure4/vpred", 0x598f347925330df6),
+    ("mechanism/figure4/rsep+vpred", 0x32cf1bc44bf558ea),
+    ("spec/figure4", 0xdd3d81ecdf292f48),
+    ("mechanism/figure5/rsep-ideal", 0xbb92249fdf1731c0),
+    ("mechanism/figure5/rsep+vpred", 0x32cf1bc44bf558ea),
+    ("spec/figure5", 0xceefa6e86acca127),
+    ("mechanism/figure6/ideal-validation", 0xbb92249fdf1731c0),
+    ("mechanism/figure6/issue2x-lock-fu", 0x41dff37cf78151c1),
+    ("mechanism/figure6/issue2x", 0xc82dc25a0feb71c2),
+    ("mechanism/figure6/issue2x-sample-t15", 0x0c2c326c882446d8),
+    ("mechanism/figure6/issue2x-sample-t63", 0x8f0532d62115996b),
+    ("spec/figure6", 0x05e1fa1d2d3ec67b),
+    ("mechanism/figure7/rsep-ideal", 0xbb92249fdf1731c0),
+    ("mechanism/figure7/rsep-realistic", 0x7556e15bd8fcceb9),
+    ("spec/figure7", 0x7089550463e5638c),
+    ("mechanism/ablation-history/history-32", 0xf2f7386eee675988),
+    ("mechanism/ablation-history/history-128", 0xfa319eb559034be8),
+    ("mechanism/ablation-history/history-256", 0x2e21d52e2c5ba2f7),
+    ("mechanism/ablation-history/history-2048", 0xbb92249fdf1731c0),
+    ("spec/ablation-history", 0xfc6e3ca2475f9b93),
+    ("mechanism/ablation-isrb/isrb-4", 0xc95977678c2051a6),
+    ("mechanism/ablation-isrb/isrb-8", 0x02ea55e502c1a8e2),
+    ("mechanism/ablation-isrb/isrb-16", 0x7c1c18e7e3d2850a),
+    ("mechanism/ablation-isrb/isrb-24", 0x69af382ee31e6552),
+    ("mechanism/ablation-isrb/isrb-48", 0x3fef83b4096e9baa),
+    ("mechanism/ablation-isrb/isrb-unlimited", 0xbb92249fdf1731c0),
+    ("spec/ablation-isrb", 0x305b54b280805179),
+    ("mechanism/ablation-hash/hash-8b", 0x6af9a531da67fb1e),
+    ("mechanism/ablation-hash/hash-10b", 0x08aed51d987d1d24),
+    ("mechanism/ablation-hash/hash-14b", 0xbb92249fdf1731c0),
+    ("mechanism/ablation-hash/hash-16b", 0xc5c09ac2afb85e76),
+    ("spec/ablation-hash", 0x0751fa2ee46db296),
+    ("profile/perlbench", 0x45a1e3209af725c3),
+    ("profile/bzip2", 0x511dc23f300236ee),
+    ("profile/gcc", 0xe70b59e17e2af13a),
+    ("profile/mcf", 0x394ab16b80c0cb4a),
+    ("profile/gobmk", 0x86443b5cf312cb02),
+    ("profile/hmmer", 0x672f66edb6489824),
+    ("profile/sjeng", 0x311d96760ed32ab7),
+    ("profile/libquantum", 0x127a8fdde84229c0),
+    ("profile/h264ref", 0x44ca15ee10f4b35c),
+    ("profile/omnetpp", 0x9041fe0415cea4c9),
+    ("profile/astar", 0xea2964322973deb9),
+    ("profile/xalancbmk", 0x27ae24903ffe910a),
+    ("profile/bwaves", 0x4734724070227cbf),
+    ("profile/gamess", 0x9024d1101dd1c2ca),
+    ("profile/milc", 0x39571a783b6437e6),
+    ("profile/zeusmp", 0x01ba478ffed24d5d),
+    ("profile/gromacs", 0xc6aa52bc2257158c),
+    ("profile/cactusADM", 0x8b303623e1b10bc7),
+    ("profile/leslie3d", 0xdef4c18fb40f3f80),
+    ("profile/namd", 0x85ef38e9963fb082),
+    ("profile/dealII", 0x28b818debc1f64db),
+    ("profile/soplex", 0x887f70e8baa77dd3),
+    ("profile/povray", 0xa94c138b70f6a825),
+    ("profile/calculix", 0xf81515a025439d75),
+    ("profile/GemsFDTD", 0x105ffc8058a95b1c),
+    ("profile/tonto", 0xbe8e7c08e75b8bd8),
+    ("profile/lbm", 0x2a49d09168b63bdc),
+    ("profile/wrf", 0xfdf55a3ec14ce9ca),
+    ("profile/sphinx3", 0x505f4ba3b76e45dc),
+    ("fold_hash/paper_default", 0xabaf9c1acc57d9e8),
+];
+
+#[test]
+fn preset_fingerprints_match_their_pinned_values() {
+    let actual = preset_fingerprints();
+    let pinned: Vec<(String, u64)> =
+        PINNED_FINGERPRINTS.iter().map(|&(name, value)| (name.to_string(), value)).collect();
+    if actual != pinned {
+        let listing: String = actual
+            .iter()
+            .map(|(name, value)| format!("    (\"{name}\", {value:#018x}),\n"))
+            .collect();
+        panic!("preset fingerprints differ from the pinned table; current values:\n{listing}");
+    }
 }
 
 proptest! {

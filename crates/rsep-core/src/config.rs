@@ -130,7 +130,6 @@ impl VpConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MechanismConfig {
     /// Human-readable label (used in reports).
-    // lint: exempt(fingerprint-coverage, presentation-only; cached cells must be label-invariant; proven-by crates/rsep-campaign/tests/store.rs)
     pub label: String,
     /// Non-speculative zero-idiom elimination (part of the Table I baseline
     /// rename stage).
@@ -265,42 +264,54 @@ impl MechanismConfig {
 
 impl rsep_isa::Fingerprint for SamplingConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { start_train_raw, start_train_effective } = self;
         h.write_str("SamplingConfig");
-        self.start_train_raw.fingerprint(h);
-        self.start_train_effective.fingerprint(h);
+        start_train_raw.fingerprint(h);
+        start_train_effective.fingerprint(h);
     }
 }
 
 impl rsep_isa::Fingerprint for RsepConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { predictor, history, isrb, validation, sampling, distance_propagation_bytes } =
+            self;
         h.write_str("RsepConfig");
-        self.predictor.fingerprint(h);
-        self.history.fingerprint(h);
-        self.isrb.fingerprint(h);
-        self.validation.fingerprint(h);
-        self.sampling.fingerprint(h);
-        self.distance_propagation_bytes.fingerprint(h);
+        predictor.fingerprint(h);
+        history.fingerprint(h);
+        isrb.fingerprint(h);
+        validation.fingerprint(h);
+        sampling.fingerprint(h);
+        distance_propagation_bytes.fingerprint(h);
     }
 }
 
 impl rsep_isa::Fingerprint for VpConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { predictor } = self;
         h.write_str("VpConfig");
-        self.predictor.fingerprint(h);
+        predictor.fingerprint(h);
     }
 }
 
 impl rsep_isa::Fingerprint for MechanismConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self {
+            // The label is deliberately excluded: a cell's simulated output
+            // does not depend on it (labels are re-attached from the spec at
+            // reassembly), so relabelled-but-identical mechanisms share cells.
+            label: _,
+            zero_idiom_elim,
+            move_elim,
+            zero_pred,
+            rsep,
+            vp,
+        } = self;
         h.write_str("MechanismConfig");
-        // The label is deliberately excluded: a cell's simulated output does
-        // not depend on it (labels are re-attached from the spec at
-        // reassembly), so relabelled-but-identical mechanisms share cells.
-        self.zero_idiom_elim.fingerprint(h);
-        self.move_elim.fingerprint(h);
-        self.zero_pred.fingerprint(h);
-        self.rsep.fingerprint(h);
-        self.vp.fingerprint(h);
+        zero_idiom_elim.fingerprint(h);
+        move_elim.fingerprint(h);
+        zero_pred.fingerprint(h);
+        rsep.fingerprint(h);
+        vp.fingerprint(h);
     }
 }
 

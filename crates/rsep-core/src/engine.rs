@@ -28,7 +28,7 @@ use rsep_predictors::{
     ZeroPredictor,
 };
 use rsep_uarch::{Disposition, RenameAction, RenameContext, SpecEngine};
-// lint: exempt(determinism, keyed lookup only; the map is never iterated)
+#[expect(clippy::disallowed_types, reason = "keyed lookup only; the map is never iterated")]
 use std::collections::HashMap;
 
 /// Counters describing the engine's own activity (in addition to the
@@ -63,7 +63,7 @@ pub struct RsepEngine {
     zero: Option<ZeroPredictor>,
     /// Predicted distances propagated from Rename to Commit (Section VI-B
     /// counts 224 B for this FIFO).
-    // lint: exempt(determinism, keyed by sequence number and never iterated)
+    #[expect(clippy::disallowed_types, reason = "keyed by sequence number and never iterated")]
     pending_distances: HashMap<u64, u32>,
     stats: EngineStats,
 }
@@ -84,7 +84,10 @@ impl RsepEngine {
             isrb,
             dvtage,
             zero,
-            // lint: exempt(determinism, keyed by sequence number and never iterated)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "keyed by sequence number and never iterated"
+            )]
             pending_distances: HashMap::new(),
             stats: EngineStats::default(),
         }

@@ -87,10 +87,11 @@ impl FifoHistoryConfig {
 
 impl rsep_isa::Fingerprint for FifoHistoryConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { capacity, hash_bits, csn_bits } = self;
         h.write_str("FifoHistoryConfig");
-        self.capacity.fingerprint(h);
-        self.hash_bits.fingerprint(h);
-        self.csn_bits.fingerprint(h);
+        capacity.fingerprint(h);
+        hash_bits.fingerprint(h);
+        csn_bits.fingerprint(h);
     }
 }
 

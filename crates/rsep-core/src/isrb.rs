@@ -79,9 +79,10 @@ impl IsrbConfig {
 
 impl rsep_isa::Fingerprint for IsrbConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { entries, counter_bits } = self;
         h.write_str("IsrbConfig");
-        self.entries.fingerprint(h);
-        self.counter_bits.fingerprint(h);
+        entries.fingerprint(h);
+        counter_bits.fingerprint(h);
     }
 }
 

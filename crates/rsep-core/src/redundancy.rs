@@ -65,11 +65,12 @@ impl RedundancyReport {
     /// campaign engine to merge per-checkpoint redundancy cells; the merged
     /// fractions are then instruction-weighted averages).
     pub fn merge(&mut self, other: &RedundancyReport) {
-        self.committed += other.committed;
-        self.zero_loads += other.zero_loads;
-        self.zero_others += other.zero_others;
-        self.prf_loads += other.prf_loads;
-        self.prf_others += other.prf_others;
+        let Self { committed, zero_loads, zero_others, prf_loads, prf_others } = other;
+        self.committed += committed;
+        self.zero_loads += zero_loads;
+        self.zero_others += zero_others;
+        self.prf_loads += prf_loads;
+        self.prf_others += prf_others;
     }
 
     fn ratio(&self, n: u64) -> f64 {

@@ -78,6 +78,12 @@ impl Default for Fnv {
 /// types never collide. Fields that are pure presentation (labels already
 /// covered elsewhere, derived storage numbers) may be skipped only when
 /// they cannot change the simulated outcome.
+///
+/// Struct impls in this workspace open with an exhaustive
+/// `let Self { a, b, .. } = self;` that names every field (no `..` rest
+/// pattern), binding a skipped one as `field: _`. A field added later is
+/// then a compile error until the impl binds it, and a bound field that is
+/// never hashed is an `unused variable` warning.
 pub trait Fingerprint {
     /// Feeds this value into the hasher.
     fn fingerprint(&self, h: &mut Fnv);
@@ -170,13 +176,6 @@ impl<T: Fingerprint> Fingerprint for [T] {
 impl<T: Fingerprint> Fingerprint for Vec<T> {
     fn fingerprint(&self, h: &mut Fnv) {
         self.as_slice().fingerprint(h);
-    }
-}
-
-impl Fingerprint for super::FoldHash {
-    fn fingerprint(&self, h: &mut Fnv) {
-        h.write_str("FoldHash");
-        h.write_u64(u64::from(self.width()));
     }
 }
 

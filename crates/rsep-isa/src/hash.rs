@@ -133,6 +133,14 @@ impl Default for FoldHash {
     }
 }
 
+impl crate::Fingerprint for FoldHash {
+    fn fingerprint(&self, h: &mut crate::Fnv) {
+        let Self { width } = self;
+        h.write_str("FoldHash");
+        h.write_u64(u64::from(*width));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,26 +1,36 @@
 //! `rsep-lint` — workspace invariant linter.
 //!
-//! The equivalence-proof discipline of this repo rests on hand-maintained
-//! coverage invariants that `clippy` cannot see: every config field hashed
-//! by its [`Fingerprint`] impl (or a stale `CellKey` silently poisons the
-//! result cache), every stats counter folded by `merge()` (or shard merges
-//! silently drop data), every hand-rolled `to_json` key read back by
-//! `from_json`, attribution code kept behind the `obs` gate, and no
-//! wall-clock/hash-order nondeterminism in result-affecting code.
+//! The equivalence-proof discipline of this repo rests on a few coverage
+//! invariants that neither `rustc` nor `clippy` can see: every
+//! hand-rolled `to_json` key read back by `from_json` (across crates),
+//! both halves of a binary codec agreeing on their layout constants,
+//! attribution code kept behind the `obs` gate, and no `pub` item that no
+//! other compilation unit uses.
 //!
 //! The linter runs in two passes. Pass 1 lexes and parses every scanned
 //! file (no `syn`, no dependencies — a token-level scanner) and builds a
 //! workspace [symbol graph](graph::Graph): every struct/enum/trait/fn/const
 //! with its crate, file, line, visibility and `#[cfg]`/`obs!` gate, plus
 //! every identifier reference resolved by name across all crates. Pass 2
-//! runs the lints — the per-file coverage checks plus the cross-file
-//! queries (`dead-pub-api`, `fingerprint-exclusion-audit` and the
-//! cross-crate half of `json-roundtrip`).
+//! runs the lints — the per-file checks plus the cross-file queries
+//! (`dead-pub-api` and the cross-crate half of `json-roundtrip`).
 //!
 //! A bug class that the compiler or a runtime test already catches gets no
-//! lint of its own. A non-`obs` build that references an `obs`-only symbol
-//! fails `cargo build`, and the packed predictor words are pinned by their
-//! `entry_packing_round_trips` unit tests.
+//! lint of its own:
+//!
+//! - every manual [`Fingerprint`] impl and every stats `merge()` opens
+//!   with an exhaustive `let Self { .. } = self;` (or `= other;`), so a
+//!   new field is a compile error until it is bound, and a bound field
+//!   that is never hashed or merged is an `unused variable` warning, which
+//!   `cargo clippy -- -D warnings` rejects;
+//! - the root `clippy.toml` disallows `HashMap`, `HashSet`,
+//!   `Instant::now` and `SystemTime::now`; each justified use carries an
+//!   `#[expect(clippy::disallowed_types | clippy::disallowed_methods,
+//!   reason = ...)]`, and an expectation that no longer suppresses
+//!   anything is itself a warning;
+//! - a non-`obs` build that references an `obs`-only symbol fails
+//!   `cargo build`, and the packed predictor words are pinned by their
+//!   `entry_packing_round_trips` unit tests.
 //!
 //! Deliberate exclusions are declared in-source:
 //!
@@ -30,11 +40,6 @@
 //! // lint: json-reader(<Type>)             — next fn's get("...") keys must be
 //! //                                         emitted by <Type>'s to_json
 //! ```
-//!
-//! `fingerprint-coverage` exemptions must additionally cite the equivalence
-//! test proving the exclusion safe — `; proven-by <file>` at the end of the
-//! reason — which the `fingerprint-exclusion-audit` lint verifies exists
-//! and references the excluded field.
 //!
 //! Empty reasons, unknown lint names, malformed directives and exemptions
 //! that no longer suppress anything are themselves findings (lint name
@@ -57,17 +62,8 @@ use std::path::{Path, PathBuf};
 use lexer::{Directive, ReaderDecl, Token};
 use parse::ParsedFile;
 
-/// The eight enforced lints, in diagnostic-name form.
-pub const LINT_NAMES: [&str; 8] = [
-    "bin-roundtrip",
-    "dead-pub-api",
-    "determinism",
-    "fingerprint-coverage",
-    "fingerprint-exclusion-audit",
-    "json-roundtrip",
-    "merge-coverage",
-    "obs-gate",
-];
+/// The four enforced lints, in diagnostic-name form.
+pub const LINT_NAMES: [&str; 4] = ["bin-roundtrip", "dead-pub-api", "json-roundtrip", "obs-gate"];
 
 /// Lint name under which exemption-hygiene findings are reported. Not
 /// exemptable itself.
@@ -110,11 +106,10 @@ pub struct Finding {
     pub exempted: bool,
 }
 
-/// Which source tree a file came from; decides which lints apply. Coverage
-/// invariants (fingerprint/merge/json/obs) bind library code only;
-/// determinism, exemption hygiene and the symbol-graph reference scan run
-/// everywhere, so a bench or test referencing a pub item keeps it alive
-/// for `dead-pub-api`.
+/// Which source tree a file came from; decides which lints apply. The
+/// codec invariants (json/bin) bind library code only; exemption hygiene
+/// and the symbol-graph reference scan run everywhere, so a bench or test
+/// referencing a pub item keeps it alive for `dead-pub-api`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tree {
     /// `src/` of a crate (library or binary code).
@@ -172,24 +167,12 @@ fn unit_key(tree: Tree, crate_name: &str, path: &str) -> String {
     }
 }
 
-/// Lints a set of in-memory sources and returns the surviving (non-exempt)
-/// diagnostics, sorted by `(file, line, lint, message)`.
-pub fn lint_sources(files: Vec<SourceFile>) -> Vec<Diagnostic> {
-    lint_sources_with_root(files, None)
-        .into_iter()
-        .filter(|f| !f.exempted)
-        .map(|f| f.diag)
-        .collect()
-}
-
-/// Full engine: lints a set of in-memory sources and returns all findings,
-/// exempted ones included, sorted by `(file, line, lint, message)`.
-/// Findings inside `#[cfg(test)]` spans are dropped; findings matched by a
-/// well-formed exemption are kept with `exempted = true`;
-/// exemption-hygiene problems are appended as `exemption` findings. `root`
-/// (when given) resolves `proven-by` paths that are outside the scanned
-/// set.
-pub fn lint_sources_with_root(files: Vec<SourceFile>, root: Option<&Path>) -> Vec<Finding> {
+/// Lints a set of in-memory sources and returns all findings, exempted
+/// ones included, sorted by `(file, line, lint, message)`. Findings inside
+/// `#[cfg(test)]` spans are dropped; findings matched by a well-formed
+/// exemption are kept with `exempted = true`; exemption-hygiene problems
+/// are appended as `exemption` findings.
+pub fn lint_sources(files: Vec<SourceFile>) -> Vec<Finding> {
     let units: Vec<Unit> = files
         .into_iter()
         .map(|f| {
@@ -210,13 +193,10 @@ pub fn lint_sources_with_root(files: Vec<SourceFile>, root: Option<&Path>) -> Ve
         .collect();
 
     let mut raw: Vec<Diagnostic> = Vec::new();
-    raw.extend(lints::fingerprint_coverage(&units));
-    raw.extend(lints::merge_coverage(&units));
     raw.extend(lints::json_roundtrip(&units));
     raw.extend(lints::json_reader_checks(&units));
     raw.extend(lints::bin_roundtrip(&units));
     raw.extend(lints::obs_gate(&units));
-    raw.extend(lints::determinism(&units));
     let g = graph::Graph::build(&units);
     // With a single compilation unit there is no possible external
     // consumer, so dead-pub-api would flag everything `pub`; it only means
@@ -224,7 +204,6 @@ pub fn lint_sources_with_root(files: Vec<SourceFile>, root: Option<&Path>) -> Ve
     if units.len() >= 2 {
         raw.extend(lints::dead_pub_api(&units, &g));
     }
-    raw.extend(lints::fingerprint_exclusion_audit(&units, root));
 
     let by_path: BTreeMap<&str, usize> =
         units.iter().enumerate().map(|(i, u)| (u.path.as_str(), i)).collect();
@@ -317,18 +296,11 @@ pub fn lint_sources_with_root(files: Vec<SourceFile>, root: Option<&Path>) -> Ve
     kept
 }
 
-/// Lints the workspace under `root` and returns the surviving (non-exempt)
-/// diagnostics plus the number of files scanned.
-pub fn lint_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
-    let (findings, scanned) = lint_workspace_full(root)?;
-    Ok((findings.into_iter().filter(|f| !f.exempted).map(|f| f.diag).collect(), scanned))
-}
-
 /// Lints the workspace under `root` and returns all findings (exempted ones
 /// included) plus the number of files scanned. Scans `crates/*/{src,tests,
 /// benches,examples}`; fixture directories are outside all of these and
 /// therefore never scanned.
-pub fn lint_workspace_full(root: &Path) -> Result<(Vec<Finding>, usize), String> {
+pub fn lint_workspace(root: &Path) -> Result<(Vec<Finding>, usize), String> {
     const TREES: [(&str, Tree); 4] = [
         ("src", Tree::Src),
         ("tests", Tree::Tests),
@@ -377,7 +349,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Vec<Finding>, usize), String>
         return Err(format!("no source files under {}", root.display()));
     }
     let count = files.len();
-    Ok((lint_sources_with_root(files, Some(root)), count))
+    Ok((lint_sources(files), count))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {

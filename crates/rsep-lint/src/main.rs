@@ -18,15 +18,7 @@ const USAGE: &str = "\
 usage: rsep-lint [--json] [ROOT]
 
 Walks ROOT/crates/*/{src,tests,benches,examples}, builds a workspace symbol
-graph, and enforces the invariants:
-  fingerprint-coverage  every field of a struct with a manual `impl
-                        Fingerprint` is referenced in its fingerprint() body
-  fingerprint-exclusion-audit
-                        every fingerprint-coverage exemption cites its
-                        equivalence test (`; proven-by <file>` in the
-                        reason); the file must exist and reference the
-                        excluded field
-  merge-coverage        every stats-family field appears in its merge()
+graph, and enforces the invariants rustc and clippy cannot see:
   json-roundtrip        to_json keys are read by the paired from_json (and
                         vice versa), pairing across crates; `// lint:
                         json-reader(<Type>)` binds a one-directional reader
@@ -37,9 +29,10 @@ graph, and enforces the invariants:
                         #[cfg(feature = \"obs\")]
   dead-pub-api          pub items in library trees have at least one inbound
                         reference from another workspace compilation unit
-  determinism           SystemTime::now / Instant::now / HashMap / HashSet
-                        (bare, fully-qualified or `use ... as` aliased)
-                        need an explicit justification
+
+Fingerprint and merge coverage are compile errors or unused-variable
+warnings (exhaustive `let Self { .. }` destructuring), and determinism is
+clippy's disallowed_types/disallowed_methods (root clippy.toml).
 
 Options:
   --json                emit findings as a JSON array of
@@ -92,7 +85,7 @@ fn main() -> ExitCode {
         }
     }
     let root = root.unwrap_or_else(|| ".".to_string());
-    match rsep_lint::lint_workspace_full(Path::new(&root)) {
+    match rsep_lint::lint_workspace(Path::new(&root)) {
         Err(e) => {
             eprintln!("rsep-lint: {e}");
             ExitCode::from(2)

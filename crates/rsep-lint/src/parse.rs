@@ -1,7 +1,7 @@
 //! Item-level parse over the token stream.
 //!
-//! Extracts what the lints need and nothing more: structs with named
-//! fields, `impl` blocks with their methods, free functions (name,
+//! Extracts what the lints need and nothing more: struct names, `impl`
+//! blocks with their methods, free functions (name,
 //! visibility and body range), `const` definitions, enum/trait/type-alias
 //! names, `#[cfg(test)]`
 //! line ranges (excluded from every lint), and the obs-gated token spans
@@ -11,16 +11,7 @@
 
 use crate::lexer::{TokKind, Token};
 
-/// A named struct field.
-#[derive(Debug)]
-pub struct Field {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the field name token.
-    pub line: usize,
-}
-
-/// A struct definition. Tuple and unit structs parse with empty `fields`.
+/// A struct definition (named-field, tuple or unit).
 #[derive(Debug)]
 pub struct StructDef {
     /// Type name.
@@ -31,8 +22,6 @@ pub struct StructDef {
     pub tok: usize,
     /// `pub` without a restriction (`pub(crate)` etc. count as private).
     pub is_pub: bool,
-    /// Named fields in declaration order.
-    pub fields: Vec<Field>,
 }
 
 /// A function with an optional body given as a `start..end` token index
@@ -453,12 +442,11 @@ fn item_end(toks: &[Token], mut k: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Parses `struct Name ... { fields }` starting at the `struct` keyword.
+/// Parses `struct Name ... { ... }` (or a tuple/unit struct) starting at
+/// the `struct` keyword; returns the definition and the index after it.
 fn parse_struct(toks: &[Token], i: usize) -> Option<(StructDef, usize)> {
     let name = ident_at(toks, i + 1)?.to_string();
-    let line = toks[i + 1].line;
-    let tok = i + 1;
-    let is_pub = pub_before(toks, i);
+    let sd = StructDef { name, line: toks[i + 1].line, tok: i + 1, is_pub: pub_before(toks, i) };
     let mut j = i + 2;
     if punct_at(toks, j, '<') {
         j = skip_generics(toks, j);
@@ -475,63 +463,16 @@ fn parse_struct(toks: &[Token], i: usize) -> Option<(StructDef, usize)> {
         return None;
     }
     if is_punct(&toks[j], ';') {
-        return Some((StructDef { name, line, tok, is_pub, fields: Vec::new() }, j + 1));
+        return Some((sd, j + 1));
     }
     if is_punct(&toks[j], '(') {
         let mut k = skip_balanced(toks, j, '(', ')');
         while k < toks.len() && !is_punct(&toks[k], ';') {
             k += 1;
         }
-        return Some((StructDef { name, line, tok, is_pub, fields: Vec::new() }, k + 1));
+        return Some((sd, k + 1));
     }
-    let after = skip_balanced(toks, j, '{', '}');
-    let body_end = after.saturating_sub(1); // index of the matching `}`
-    let mut fields = Vec::new();
-    let mut k = j + 1;
-    while k < body_end {
-        while punct_at(toks, k, '#') && punct_at(toks, k + 1, '[') {
-            k = skip_balanced(toks, k + 1, '[', ']');
-        }
-        if k >= body_end {
-            break;
-        }
-        if is_ident(&toks[k], "pub") {
-            k += 1;
-            if punct_at(toks, k, '(') {
-                k = skip_balanced(toks, k, '(', ')');
-            }
-        }
-        let Some(fname) = ident_at(toks, k) else { break };
-        fields.push(Field { name: fname.to_string(), line: toks[k].line });
-        k += 1;
-        if !punct_at(toks, k, ':') {
-            break;
-        }
-        k += 1;
-        // Skip the type up to the `,` separating fields.
-        let (mut paren, mut brack, mut brace, mut angle) = (0i32, 0i32, 0i32, 0i32);
-        while k < body_end {
-            if let TokKind::Punct(c) = toks[k].kind {
-                match c {
-                    '(' => paren += 1,
-                    ')' => paren -= 1,
-                    '[' => brack += 1,
-                    ']' => brack -= 1,
-                    '{' => brace += 1,
-                    '}' => brace -= 1,
-                    '<' => angle += 1,
-                    '>' if !punct_at(toks, k - 1, '-') => angle -= 1,
-                    ',' if paren == 0 && brack == 0 && brace == 0 && angle == 0 => {
-                        k += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            k += 1;
-        }
-    }
-    Some((StructDef { name, line, tok, is_pub, fields }, after))
+    Some((sd, skip_balanced(toks, j, '{', '}')))
 }
 
 /// Parses `fn name(...) ... { body }` (or `...;`) starting at `fn`.

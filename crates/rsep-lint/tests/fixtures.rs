@@ -2,9 +2,7 @@
 //! exact `file:line: lint-name: message` output pinned, plus the
 //! exempted-good twin that must come back clean.
 
-use std::path::Path;
-
-use rsep_lint::{lint_sources_with_root, SourceFile, Tree};
+use rsep_lint::{lint_sources, SourceFile, Tree, EXEMPTION_LINT};
 
 fn read_fixture(name: &str) -> String {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -12,8 +10,7 @@ fn read_fixture(name: &str) -> String {
 }
 
 /// Lints fixture files under the given crate name and returns the rendered
-/// non-exempt diagnostics. `proven-by` paths resolve against the crate
-/// directory, so fixtures can cite sibling fixtures.
+/// non-exempt diagnostics.
 fn run_many(names: &[&str], crate_name: &str) -> Vec<String> {
     let files = names
         .iter()
@@ -24,47 +21,11 @@ fn run_many(names: &[&str], crate_name: &str) -> Vec<String> {
             text: read_fixture(name),
         })
         .collect();
-    lint_sources_with_root(files, Some(Path::new(env!("CARGO_MANIFEST_DIR"))))
-        .iter()
-        .filter(|f| !f.exempted)
-        .map(|f| f.diag.to_string())
-        .collect()
+    lint_sources(files).iter().filter(|f| !f.exempted).map(|f| f.diag.to_string()).collect()
 }
 
 fn run(name: &str, crate_name: &str) -> Vec<String> {
     run_many(&[name], crate_name)
-}
-
-#[test]
-fn fingerprint_bad_pins_the_diagnostic() {
-    assert_eq!(
-        run("fingerprint_bad.rs", "fixture"),
-        ["fixtures/fingerprint_bad.rs:5: fingerprint-coverage: field `depth` of `Knobs` is not \
-          referenced in its `fingerprint()` body"]
-    );
-}
-
-#[test]
-fn fingerprint_exempted_twin_is_clean() {
-    assert_eq!(run("fingerprint_exempt.rs", "fixture"), [] as [&str; 0]);
-}
-
-#[test]
-fn merge_bad_pins_both_diagnostics() {
-    assert_eq!(
-        run("merge_bad.rs", "fixture"),
-        [
-            "fixtures/merge_bad.rs:6: merge-coverage: field `flushes` of `SimStats` does not \
-             appear in its `merge()`",
-            "fixtures/merge_bad.rs:15: merge-coverage: `CacheStats` is in the stats family but \
-             has no `merge()`",
-        ]
-    );
-}
-
-#[test]
-fn merge_exempted_twin_is_clean() {
-    assert_eq!(run("merge_exempt.rs", "fixture"), [] as [&str; 0]);
 }
 
 #[test]
@@ -137,11 +98,8 @@ fn json_pairing_crosses_file_boundaries() {
             text: reader.to_string(),
         },
     ];
-    let diags: Vec<String> = lint_sources_with_root(files, None)
-        .iter()
-        .filter(|f| !f.exempted)
-        .map(|f| f.diag.to_string())
-        .collect();
+    let diags: Vec<String> =
+        lint_sources(files).iter().filter(|f| !f.exempted).map(|f| f.diag.to_string()).collect();
     assert_eq!(
         diags,
         [
@@ -166,15 +124,12 @@ fn json_reader_bad_pins_the_unknown_key() {
 fn json_reader_without_a_writer_is_a_hygiene_finding() {
     let text = "// lint: json-reader(NoSuchRecord)\n\
                 pub fn check(map: &Map) -> u64 {\n    map.get(\"alpha\").copied().unwrap_or(0)\n}\n";
-    let diags: Vec<String> = lint_sources_with_root(
-        vec![SourceFile {
-            path: "inline.rs".to_string(),
-            crate_name: "fixture".to_string(),
-            tree: Tree::Src,
-            text: text.to_string(),
-        }],
-        None,
-    )
+    let diags: Vec<String> = lint_sources(vec![SourceFile {
+        path: "inline.rs".to_string(),
+        crate_name: "fixture".to_string(),
+        tree: Tree::Src,
+        text: text.to_string(),
+    }])
     .iter()
     .map(|f| f.diag.to_string())
     .collect();
@@ -206,62 +161,6 @@ fn obs_gate_is_scoped_to_rsep_uarch() {
 }
 
 #[test]
-fn determinism_bad_pins_all_four_diagnostics() {
-    assert_eq!(
-        run("determinism_bad.rs", "fixture"),
-        [
-            "fixtures/determinism_bad.rs:3: determinism: `HashMap` has nondeterministic \
-             iteration order; use an ordered structure or exempt with a justification",
-            "fixtures/determinism_bad.rs:7: determinism: `Instant::now()` reads the wall clock; \
-             results must not depend on it",
-            "fixtures/determinism_bad.rs:8: determinism: `HashMap` has nondeterministic \
-             iteration order; use an ordered structure or exempt with a justification",
-            "fixtures/determinism_bad.rs:14: determinism: `SystemTime::now()` reads the wall \
-             clock; results must not depend on it",
-        ]
-    );
-}
-
-#[test]
-fn determinism_exempted_twin_is_clean() {
-    // Also proves `#[cfg(test)]` modules are out of scope: the fixture's
-    // test module uses HashSet and Instant::now with no exemption.
-    assert_eq!(run("determinism_exempt.rs", "fixture"), [] as [&str; 0]);
-}
-
-#[test]
-fn determinism_alias_pins_the_renamed_sources() {
-    assert_eq!(
-        run("determinism_alias.rs", "fixture"),
-        [
-            "fixtures/determinism_alias.rs:4: determinism: `HashMap` has nondeterministic \
-             iteration order; use an ordered structure or exempt with a justification",
-            "fixtures/determinism_alias.rs:8: determinism: `Clock::now()` (alias of \
-             `Instant::now()`) reads the wall clock; results must not depend on it",
-            "fixtures/determinism_alias.rs:9: determinism: `Map` (alias of `HashMap`) has \
-             nondeterministic iteration order; use an ordered structure or exempt with a \
-             justification",
-        ]
-    );
-}
-
-#[test]
-fn exclusion_audit_bad_pins_all_three_broken_proofs() {
-    assert_eq!(
-        run("exclusion_audit_bad.rs", "fixture"),
-        [
-            "fixtures/exclusion_audit_bad.rs:6: fingerprint-exclusion-audit: \
-             fingerprint-coverage exemption must cite the equivalence test proving the \
-             exclusion safe: append `; proven-by <file>` to the reason",
-            "fixtures/exclusion_audit_bad.rs:8: fingerprint-exclusion-audit: equivalence test \
-             `fixtures/no_such_proof.rs` cited by proven-by does not exist",
-            "fixtures/exclusion_audit_bad.rs:10: fingerprint-exclusion-audit: equivalence test \
-             `fixtures/audit_proof.rs` does not reference the excluded field `hue`",
-        ]
-    );
-}
-
-#[test]
 fn dead_pub_bad_pins_the_orphans() {
     assert_eq!(
         run_many(&["dead_pub_bad.rs", "dead_pub_user.rs"], "fixture"),
@@ -279,10 +178,10 @@ fn exemption_hygiene_violations_are_findings() {
     assert_eq!(
         run("exemption_bad.rs", "fixture"),
         [
-            "fixtures/exemption_bad.rs:4: exemption: exemption for `determinism` must carry a \
+            "fixtures/exemption_bad.rs:4: exemption: exemption for `dead-pub-api` must carry a \
              non-empty reason",
             "fixtures/exemption_bad.rs:5: exemption: exemption names unknown lint `made-up-lint`",
-            "fixtures/exemption_bad.rs:6: exemption: exemption for `determinism` does not \
+            "fixtures/exemption_bad.rs:6: exemption: exemption for `dead-pub-api` does not \
              suppress any finding",
             "fixtures/exemption_bad.rs:7: exemption: expected `(<lint>, <reason>)` after \
              `exempt`",
@@ -295,41 +194,40 @@ fn exemption_hygiene_violations_are_findings() {
 
 #[test]
 fn exempt_file_covers_the_whole_file() {
-    let text = "use std::collections::HashMap;\n\
-                // lint: exempt-file(determinism, fixture-wide justification)\n\
-                pub fn build() -> HashMap<u64, u64> {\n    HashMap::new()\n}\n";
-    let findings = lint_sources_with_root(
-        vec![SourceFile {
-            path: "inline.rs".to_string(),
-            crate_name: "fixture".to_string(),
-            tree: Tree::Src,
-            text: text.to_string(),
-        }],
-        None,
-    );
+    // The directive sits below the first finding: file-level exemptions
+    // cover lines above them too.
+    let text = "use crate::attribution::StageAttribution;\n\
+                // lint: exempt-file(obs-gate, fixture-wide justification)\n\
+                pub fn build() -> StageAttribution {\n    StageAttribution::default()\n}\n";
+    let findings = lint_sources(vec![SourceFile {
+        path: "inline.rs".to_string(),
+        crate_name: "rsep-uarch".to_string(),
+        tree: Tree::Src,
+        text: text.to_string(),
+    }]);
     assert!(findings.iter().all(|f| f.exempted), "{findings:?}");
     // The exempted findings stay visible to `--json` consumers.
     assert_eq!(findings.iter().filter(|f| f.exempted).count(), 3);
 }
 
 #[test]
-fn tests_tree_skips_coverage_lints_but_keeps_determinism() {
-    // The fingerprint fixture is fine as an integration test (coverage
-    // lints bind library code only)...
+fn tests_tree_skips_codec_lints_but_keeps_exemption_hygiene() {
+    // The json fixture is fine as an integration test (the codec lints
+    // bind library code only)...
     let files = vec![SourceFile {
-        path: "tests/fp.rs".to_string(),
+        path: "tests/json.rs".to_string(),
         crate_name: "fixture".to_string(),
         tree: Tree::Tests,
-        text: read_fixture("fingerprint_bad.rs"),
+        text: read_fixture("json_bad.rs"),
     }];
-    assert!(lint_sources_with_root(files, None).is_empty());
-    // ...but nondeterminism is flagged in every tree.
+    assert!(lint_sources(files).is_empty());
+    // ...but a broken exemption is a finding in every tree.
     let files = vec![SourceFile {
-        path: "tests/det.rs".to_string(),
+        path: "tests/exempt.rs".to_string(),
         crate_name: "fixture".to_string(),
         tree: Tree::Tests,
-        text: read_fixture("determinism_bad.rs"),
+        text: read_fixture("exemption_bad.rs"),
     }];
-    let diags = lint_sources_with_root(files, None);
-    assert_eq!(diags.iter().filter(|f| f.diag.lint == "determinism").count(), 4, "{diags:?}");
+    let diags = lint_sources(files);
+    assert_eq!(diags.iter().filter(|f| f.diag.lint == EXEMPTION_LINT).count(), 6, "{diags:?}");
 }

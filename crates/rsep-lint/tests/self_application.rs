@@ -1,12 +1,11 @@
 //! Self-application: the shipped workspace lints clean, and deliberate
-//! mutations of real invariant-bearing code are caught. The mutations are
-//! the in-tree version of the CI demos: deleting a `fingerprint()` field
-//! reference and stripping an exclusion proof — each must fail the gate at
-//! the exact expected `file:line`.
+//! mutations of real invariant-bearing code are caught: a blanked
+//! exemption reason, a JSON key read back under the wrong name and a bench
+//! gate key its writer never emits.
 
 use std::path::Path;
 
-use rsep_lint::{lint_sources_with_root, lint_workspace, SourceFile, Tree};
+use rsep_lint::{lint_sources, lint_workspace, SourceFile, Tree};
 
 fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -14,9 +13,10 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn shipped_workspace_is_clean() {
-    let (diags, scanned) = lint_workspace(workspace_root()).expect("workspace walk");
+    let (findings, scanned) = lint_workspace(workspace_root()).expect("workspace walk");
     assert!(scanned > 50, "suspiciously few files scanned: {scanned}");
-    let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
+    let rendered: Vec<String> =
+        findings.iter().filter(|f| !f.exempted).map(|f| f.diag.to_string()).collect();
     assert!(
         rendered.is_empty(),
         "rsep-lint findings on the shipped tree:\n{}",
@@ -24,8 +24,7 @@ fn shipped_workspace_is_clean() {
     );
 }
 
-/// Lints real workspace files (optionally mutated) as one in-memory set,
-/// resolving `proven-by` citations against the real workspace root.
+/// Lints real workspace files (optionally mutated) as one in-memory set.
 fn lint_set(files: Vec<(&str, &str, String)>) -> Vec<String> {
     let files = files
         .into_iter()
@@ -36,11 +35,7 @@ fn lint_set(files: Vec<(&str, &str, String)>) -> Vec<String> {
             text,
         })
         .collect();
-    lint_sources_with_root(files, Some(workspace_root()))
-        .iter()
-        .filter(|f| !f.exempted)
-        .map(|f| f.diag.to_string())
-        .collect()
+    lint_sources(files).iter().filter(|f| !f.exempted).map(|f| f.diag.to_string()).collect()
 }
 
 fn lint_one(rel: &str, crate_name: &str, text: String) -> Vec<String> {
@@ -52,112 +47,25 @@ fn read_workspace_file(rel: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Removes the unique line containing `needle`, panicking if absent (the
-/// mutation must actually mutate).
-fn delete_line(text: &str, needle: &str) -> String {
-    let mut found = false;
-    let kept: Vec<&str> = text
-        .lines()
-        .filter(|l| {
-            let hit = l.contains(needle);
-            found |= hit;
-            !hit
-        })
-        .collect();
-    assert!(found, "mutation target `{needle}` not found");
-    kept.join("\n") + "\n"
-}
-
 /// 1-based line of the first line containing `needle`.
 fn line_of(text: &str, needle: &str) -> usize {
     text.lines().position(|l| l.contains(needle)).expect(needle) + 1
 }
 
 #[test]
-fn deleting_a_fingerprint_field_reference_is_caught() {
-    let rel = "crates/rsep-uarch/src/config.rs";
-    let original = read_workspace_file(rel);
-    assert_eq!(lint_one(rel, "rsep-uarch", original.clone()), [] as [&str; 0]);
-
-    let mutated = delete_line(&original, "self.dram_latency.fingerprint(h);");
-    let field_line = line_of(&mutated, "pub dram_latency:");
-    assert_eq!(
-        lint_one(rel, "rsep-uarch", mutated),
-        [format!(
-            "{rel}:{field_line}: fingerprint-coverage: field `dram_latency` of `CoreConfig` is \
-             not referenced in its `fingerprint()` body"
-        )]
-    );
-}
-
-#[test]
-fn deleting_a_merge_statement_is_caught() {
-    let rel = "crates/rsep-uarch/src/stats.rs";
-    let original = read_workspace_file(rel);
-    assert_eq!(lint_one(rel, "rsep-uarch", original.clone()), [] as [&str; 0]);
-
-    let mutated = delete_line(&original, "self.stlf_forwards += other.stlf_forwards;");
-    let field_line = line_of(&mutated, "pub stlf_forwards:");
-    assert_eq!(
-        lint_one(rel, "rsep-uarch", mutated),
-        [format!(
-            "{rel}:{field_line}: merge-coverage: field `stlf_forwards` of `SimStats` does not \
-             appear in its `merge()`"
-        )]
-    );
-}
-
-#[test]
 fn blanking_an_exemption_reason_is_caught() {
-    let rel = "crates/rsep-core/src/config.rs";
+    let rel = "crates/rsep-uarch/src/core.rs";
     let original = read_workspace_file(rel);
-    let needle = "// lint: exempt(fingerprint-coverage, presentation-only; cached cells must \
-                  be label-invariant; proven-by crates/rsep-campaign/tests/store.rs)";
-    assert!(original.contains(needle), "expected the label exemption in {rel}");
-    let mutated = original.replace(needle, "// lint: exempt(fingerprint-coverage, )");
-    let diags = lint_one(rel, "rsep-core", mutated);
+    let needle =
+        "// lint: exempt(obs-gate, accessor exists in both builds; returns None without obs)";
+    assert!(original.contains(needle), "expected the attribution accessor exemption in {rel}");
+    let mutated = original.replacen(needle, "// lint: exempt(obs-gate, )", 1);
+    let diags = lint_one(rel, "rsep-uarch", mutated);
     // The blanked exemption no longer suppresses, so both the hygiene
-    // finding and the underlying fingerprint-coverage finding surface.
+    // finding and the underlying obs-gate finding surface.
     assert_eq!(diags.len(), 2, "expected two findings, got:\n{}", diags.join("\n"));
     assert!(diags.iter().any(|d| d.contains("must carry a non-empty reason")), "{diags:?}");
-    assert!(diags.iter().any(|d| d.contains("field `label` of `MechanismConfig`")), "{diags:?}");
-}
-
-#[test]
-fn stripping_an_exclusion_proof_is_caught() {
-    let rel = "crates/rsep-core/src/config.rs";
-    let original = read_workspace_file(rel);
-    let needle = "; proven-by crates/rsep-campaign/tests/store.rs)";
-    assert!(original.contains(needle), "expected a proven-by clause in {rel}");
-    let mutated = original.replace(needle, ")");
-    let directive_line = line_of(&mutated, "// lint: exempt(fingerprint-coverage,");
-    assert_eq!(
-        lint_one(rel, "rsep-core", mutated),
-        [format!(
-            "{rel}:{directive_line}: fingerprint-exclusion-audit: fingerprint-coverage \
-             exemption must cite the equivalence test proving the exclusion safe: append \
-             `; proven-by <file>` to the reason"
-        )]
-    );
-}
-
-#[test]
-fn citing_a_nonexistent_proof_is_caught() {
-    let rel = "crates/rsep-core/src/config.rs";
-    let original = read_workspace_file(rel);
-    let mutated = original.replace(
-        "proven-by crates/rsep-campaign/tests/store.rs",
-        "proven-by crates/rsep-campaign/tests/gone.rs",
-    );
-    assert_ne!(mutated, original);
-    let diags = lint_one(rel, "rsep-core", mutated);
-    assert!(
-        diags.iter().any(|d| d.contains(
-            "`crates/rsep-campaign/tests/gone.rs` cited by \
-                                         proven-by does not exist"
-        )),
-        "{diags:?}"
-    );
+    assert!(diags.iter().any(|d| d.contains("obs-gate: `StageAttribution`")), "{diags:?}");
 }
 
 #[test]

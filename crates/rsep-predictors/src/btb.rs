@@ -34,8 +34,9 @@ impl BtbConfig {
 
 impl rsep_isa::Fingerprint for BtbConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { entries } = self;
         h.write_str("BtbConfig");
-        self.entries.fingerprint(h);
+        entries.fingerprint(h);
     }
 }
 

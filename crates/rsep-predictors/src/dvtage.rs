@@ -100,16 +100,27 @@ impl DvtageConfig {
 
 impl rsep_isa::Fingerprint for DvtageConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self {
+            base_log2,
+            tagged_log2,
+            num_tagged,
+            tag_bits,
+            min_history,
+            max_history,
+            stride_bits,
+            confidence_bits,
+            confidence_denominator,
+        } = self;
         h.write_str("DvtageConfig");
-        self.base_log2.fingerprint(h);
-        self.tagged_log2.fingerprint(h);
-        self.num_tagged.fingerprint(h);
-        self.tag_bits.fingerprint(h);
-        self.min_history.fingerprint(h);
-        self.max_history.fingerprint(h);
-        self.stride_bits.fingerprint(h);
-        self.confidence_bits.fingerprint(h);
-        self.confidence_denominator.fingerprint(h);
+        base_log2.fingerprint(h);
+        tagged_log2.fingerprint(h);
+        num_tagged.fingerprint(h);
+        tag_bits.fingerprint(h);
+        min_history.fingerprint(h);
+        max_history.fingerprint(h);
+        stride_bits.fingerprint(h);
+        confidence_bits.fingerprint(h);
+        confidence_denominator.fingerprint(h);
     }
 }
 

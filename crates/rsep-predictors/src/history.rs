@@ -346,7 +346,7 @@ impl FoldStateSoa {
         if self.avx2 {
             // SAFETY: `self.avx2` holds the construction-time result of
             // `is_x86_feature_detected!("avx2")` for this host.
-            #[allow(unsafe_code)]
+            #[allow(unsafe_code, reason = "AVX2 intrinsics, called only after runtime detection")]
             unsafe {
                 self.advance_values_avx2(values, inserted_bit, windows, window_bit)
             };

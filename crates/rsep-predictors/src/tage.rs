@@ -75,13 +75,14 @@ impl TageConfig {
 
 impl rsep_isa::Fingerprint for TageConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { base_log2, tagged_log2, num_tagged, min_history, max_history, tag_bits } = self;
         h.write_str("TageConfig");
-        self.base_log2.fingerprint(h);
-        self.tagged_log2.fingerprint(h);
-        self.num_tagged.fingerprint(h);
-        self.min_history.fingerprint(h);
-        self.max_history.fingerprint(h);
-        self.tag_bits.fingerprint(h);
+        base_log2.fingerprint(h);
+        tagged_log2.fingerprint(h);
+        num_tagged.fingerprint(h);
+        min_history.fingerprint(h);
+        max_history.fingerprint(h);
+        tag_bits.fingerprint(h);
     }
 }
 

@@ -61,11 +61,12 @@ impl Default for CheckpointSpec {
 
 impl rsep_isa::Fingerprint for CheckpointSpec {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self { count, warmup, measure, spacing } = self;
         h.write_str("CheckpointSpec");
-        self.count.fingerprint(h);
-        self.warmup.fingerprint(h);
-        self.measure.fingerprint(h);
-        self.spacing.fingerprint(h);
+        count.fingerprint(h);
+        warmup.fingerprint(h);
+        measure.fingerprint(h);
+        spacing.fingerprint(h);
     }
 }
 

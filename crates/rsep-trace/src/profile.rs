@@ -610,42 +610,75 @@ impl BenchmarkProfile {
 
 impl rsep_isa::Fingerprint for InstructionMix {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self {
+            load,
+            store,
+            branch,
+            int_alu,
+            int_mul,
+            int_div,
+            fp_alu,
+            fp_mul,
+            fp_div,
+            mov,
+            zero_idiom,
+        } = self;
         h.write_str("InstructionMix");
-        self.load.fingerprint(h);
-        self.store.fingerprint(h);
-        self.branch.fingerprint(h);
-        self.int_alu.fingerprint(h);
-        self.int_mul.fingerprint(h);
-        self.int_div.fingerprint(h);
-        self.fp_alu.fingerprint(h);
-        self.fp_mul.fingerprint(h);
-        self.fp_div.fingerprint(h);
-        self.mov.fingerprint(h);
-        self.zero_idiom.fingerprint(h);
+        load.fingerprint(h);
+        store.fingerprint(h);
+        branch.fingerprint(h);
+        int_alu.fingerprint(h);
+        int_mul.fingerprint(h);
+        int_div.fingerprint(h);
+        fp_alu.fingerprint(h);
+        fp_mul.fingerprint(h);
+        fp_div.fingerprint(h);
+        mov.fingerprint(h);
+        zero_idiom.fingerprint(h);
     }
 }
 
 impl rsep_isa::Fingerprint for BenchmarkProfile {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self {
+            name,
+            mix,
+            hard_branch_frac,
+            working_set_bytes,
+            streaming_frac,
+            pointer_chase_frac,
+            zero_frac_load,
+            zero_frac_other,
+            redundant_frac_load,
+            redundant_frac_other,
+            distance_stability,
+            short_distance_frac,
+            vp_frac,
+            vp_overlap_frac,
+            dep_chain_frac,
+            loop_body_size,
+            num_loops,
+            loop_trip,
+        } = self;
         h.write_str("BenchmarkProfile");
-        self.name.fingerprint(h);
-        self.mix.fingerprint(h);
-        self.hard_branch_frac.fingerprint(h);
-        self.working_set_bytes.fingerprint(h);
-        self.streaming_frac.fingerprint(h);
-        self.pointer_chase_frac.fingerprint(h);
-        self.zero_frac_load.fingerprint(h);
-        self.zero_frac_other.fingerprint(h);
-        self.redundant_frac_load.fingerprint(h);
-        self.redundant_frac_other.fingerprint(h);
-        self.distance_stability.fingerprint(h);
-        self.short_distance_frac.fingerprint(h);
-        self.vp_frac.fingerprint(h);
-        self.vp_overlap_frac.fingerprint(h);
-        self.dep_chain_frac.fingerprint(h);
-        self.loop_body_size.fingerprint(h);
-        self.num_loops.fingerprint(h);
-        self.loop_trip.fingerprint(h);
+        name.fingerprint(h);
+        mix.fingerprint(h);
+        hard_branch_frac.fingerprint(h);
+        working_set_bytes.fingerprint(h);
+        streaming_frac.fingerprint(h);
+        pointer_chase_frac.fingerprint(h);
+        zero_frac_load.fingerprint(h);
+        zero_frac_other.fingerprint(h);
+        redundant_frac_load.fingerprint(h);
+        redundant_frac_other.fingerprint(h);
+        distance_stability.fingerprint(h);
+        short_distance_frac.fingerprint(h);
+        vp_frac.fingerprint(h);
+        vp_overlap_frac.fingerprint(h);
+        dep_chain_frac.fingerprint(h);
+        loop_body_size.fingerprint(h);
+        num_loops.fingerprint(h);
+        loop_trip.fingerprint(h);
     }
 }
 

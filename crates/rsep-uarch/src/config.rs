@@ -259,46 +259,87 @@ impl Default for CoreConfig {
 
 impl rsep_isa::Fingerprint for CoreConfig {
     fn fingerprint(&self, h: &mut rsep_isa::Fnv) {
+        let Self {
+            fetch_width,
+            fetch_taken_branches,
+            rename_width,
+            frontend_depth,
+            redirect_penalty,
+            fetch_queue_size,
+            rob_size,
+            iq_size,
+            lq_size,
+            sq_size,
+            int_prf_size,
+            fp_prf_size,
+            issue_width,
+            commit_width,
+            int_alu_ports,
+            int_mul_units,
+            int_div_units,
+            fp_ports,
+            fp_mul_units,
+            fp_div_units,
+            load_ports,
+            store_ports,
+            stlf_latency,
+            l1i_bytes,
+            l1i_assoc,
+            l1i_latency,
+            l1d_bytes,
+            l1d_assoc,
+            l1d_latency,
+            l2_bytes,
+            l2_assoc,
+            l2_latency,
+            l3_bytes,
+            l3_assoc,
+            l3_latency,
+            line_bytes,
+            dram_latency,
+            l1d_prefetch,
+            l2_prefetch,
+        } = self;
         h.write_str("CoreConfig");
-        self.fetch_width.fingerprint(h);
-        self.fetch_taken_branches.fingerprint(h);
-        self.rename_width.fingerprint(h);
-        self.frontend_depth.fingerprint(h);
-        self.redirect_penalty.fingerprint(h);
-        self.fetch_queue_size.fingerprint(h);
-        self.rob_size.fingerprint(h);
-        self.iq_size.fingerprint(h);
-        self.lq_size.fingerprint(h);
-        self.sq_size.fingerprint(h);
-        self.int_prf_size.fingerprint(h);
-        self.fp_prf_size.fingerprint(h);
-        self.issue_width.fingerprint(h);
-        self.commit_width.fingerprint(h);
-        self.int_alu_ports.fingerprint(h);
-        self.int_mul_units.fingerprint(h);
-        self.int_div_units.fingerprint(h);
-        self.fp_ports.fingerprint(h);
-        self.fp_mul_units.fingerprint(h);
-        self.fp_div_units.fingerprint(h);
-        self.load_ports.fingerprint(h);
-        self.store_ports.fingerprint(h);
-        self.stlf_latency.fingerprint(h);
-        self.l1i_bytes.fingerprint(h);
-        self.l1i_assoc.fingerprint(h);
-        self.l1i_latency.fingerprint(h);
-        self.l1d_bytes.fingerprint(h);
-        self.l1d_assoc.fingerprint(h);
-        self.l1d_latency.fingerprint(h);
-        self.l2_bytes.fingerprint(h);
-        self.l2_assoc.fingerprint(h);
-        self.l2_latency.fingerprint(h);
-        self.l3_bytes.fingerprint(h);
-        self.l3_assoc.fingerprint(h);
-        self.l3_latency.fingerprint(h);
-        self.line_bytes.fingerprint(h);
-        self.dram_latency.fingerprint(h);
-        self.l1d_prefetch.fingerprint(h);
-        self.l2_prefetch.fingerprint(h);
+        fetch_width.fingerprint(h);
+        fetch_taken_branches.fingerprint(h);
+        rename_width.fingerprint(h);
+        frontend_depth.fingerprint(h);
+        redirect_penalty.fingerprint(h);
+        fetch_queue_size.fingerprint(h);
+        rob_size.fingerprint(h);
+        iq_size.fingerprint(h);
+        lq_size.fingerprint(h);
+        sq_size.fingerprint(h);
+        int_prf_size.fingerprint(h);
+        fp_prf_size.fingerprint(h);
+        issue_width.fingerprint(h);
+        commit_width.fingerprint(h);
+        int_alu_ports.fingerprint(h);
+        int_mul_units.fingerprint(h);
+        int_div_units.fingerprint(h);
+        fp_ports.fingerprint(h);
+        fp_mul_units.fingerprint(h);
+        fp_div_units.fingerprint(h);
+        load_ports.fingerprint(h);
+        store_ports.fingerprint(h);
+        stlf_latency.fingerprint(h);
+        l1i_bytes.fingerprint(h);
+        l1i_assoc.fingerprint(h);
+        l1i_latency.fingerprint(h);
+        l1d_bytes.fingerprint(h);
+        l1d_assoc.fingerprint(h);
+        l1d_latency.fingerprint(h);
+        l2_bytes.fingerprint(h);
+        l2_assoc.fingerprint(h);
+        l2_latency.fingerprint(h);
+        l3_bytes.fingerprint(h);
+        l3_assoc.fingerprint(h);
+        l3_latency.fingerprint(h);
+        line_bytes.fingerprint(h);
+        dram_latency.fingerprint(h);
+        l1d_prefetch.fingerprint(h);
+        l2_prefetch.fingerprint(h);
     }
 }
 

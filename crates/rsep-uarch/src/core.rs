@@ -770,7 +770,10 @@ impl<E: SpecEngine> Core<E> {
     /// [`Core::run`], so deadlock errors happen at exactly the stepped
     /// cycle. Debug builds then step the same span to check the jump (see
     /// [`Core::check_skip_by_stepping`]).
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    #[cfg_attr(
+        not(debug_assertions),
+        allow(unused_variables, reason = "`trace` only feeds the debug-build skip check")
+    )]
     fn skip_quiescent_cycles(&mut self, trace: &mut impl Iterator<Item = DynInst>) {
         let Some((event, stall)) = self.quiescent_until() else {
             return;

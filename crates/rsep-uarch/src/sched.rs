@@ -24,7 +24,10 @@
 
 use crate::rob::InstSlot;
 use std::cmp::Reverse;
-// lint: exempt(determinism, only used with the deterministic SeqHasher via U64Map below)
+#[expect(
+    clippy::disallowed_types,
+    reason = "only used with the deterministic SeqHasher via U64Map below"
+)]
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -34,8 +37,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// nothing against simulator-internal keys. Fibonacci multiply + rotate
 /// mixes the low-entropy dword/sequence keys well enough for a `HashMap`.
 #[derive(Debug, Default, Clone, Copy)]
-// lint: exempt(dead-pub-api, hasher type named in pub BuildHasherDefault signatures; reached through them)
-pub struct SeqHasher(u64);
+struct SeqHasher(u64);
 
 impl Hasher for SeqHasher {
     fn finish(&self) -> u64 {
@@ -53,7 +55,10 @@ impl Hasher for SeqHasher {
     }
 }
 
-// lint: exempt(determinism, deterministic SeqHasher seed and keyed access only; never iterated)
+#[expect(
+    clippy::disallowed_types,
+    reason = "deterministic SeqHasher seed and keyed access only; never iterated"
+)]
 type U64Map<V> = HashMap<u64, V, BuildHasherDefault<SeqHasher>>;
 
 /// Calendar + ready set for event-driven select.
