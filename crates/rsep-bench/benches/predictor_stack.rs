@@ -10,7 +10,7 @@
 //!   *only* in table layout (one flat packed-word array vs the retired
 //!   `Vec<Vec<Entry>>`), predict + update per branch, isolating the layout
 //!   effect from codegen context. `tage_trait` drives the real [`Tage`]
-//!   through the unified trait for the end-to-end number.
+//!   for the end-to-end number.
 //!
 //! Before timing, the bench asserts that the two stack entry points and
 //! the three TAGE variants count the same mispredictions. It then prints
@@ -24,7 +24,7 @@
 use rsep_bench::record::{timed, BenchRecord};
 use rsep_isa::{BranchInfo, BranchKind};
 use rsep_predictors::{
-    FoldedHistory, GlobalHistory, Lfsr, PredictRequest, Predictor, PredictorStack, Tage, TageConfig,
+    FoldedHistory, GlobalHistory, Lfsr, PredictRequest, PredictorStack, Tage, TageConfig,
 };
 use rsep_stats::json::Json;
 
@@ -412,9 +412,8 @@ fn run_tage_flat(stream: &[(u64, BranchInfo)]) -> u64 {
     mispredicts
 }
 
-/// Drives the real packed-flat [`Tage`] through the unified trait
-/// (predict + train + history) over the conditional branches of the
-/// stream.
+/// Drives the real packed-flat [`Tage`] (predict + train + history) over
+/// the conditional branches of the stream.
 fn run_tage_trait(stream: &[(u64, BranchInfo)]) -> u64 {
     let mut tage = Tage::table1();
     let mut hist = GlobalHistory::new();

@@ -23,14 +23,14 @@
 //!                     byte-identical to the live campaign's
 //!
 //! flags:
-//!   --jobs N         worker threads (default: RSEP_JOBS or all cores)
+//!   --jobs N         worker threads (default: all cores)
 //!   --smoke          CI-smoke scale: 6 profiles, 1 × (2K + 8K) instructions
 //!   --json | --csv | --md   report format (default: fixed-width table)
 //!   --benchmarks L   comma-separated profile subset
-//!   --seed N         campaign seed        (default: RSEP_SEED or 42)
-//!   --checkpoints N  checkpoints/profile  (default: RSEP_CHECKPOINTS or 1)
-//!   --warmup N       warm-up instructions (default: RSEP_WARMUP or 100000)
-//!   --measure N      measured instructions (default: RSEP_MEASURE or 60000)
+//!   --seed N         campaign seed        (default: 42)
+//!   --checkpoints N  checkpoints/profile  (default: 1)
+//!   --warmup N       warm-up instructions (default: 100000)
+//!   --measure N      measured instructions (default: 60000)
 //!   --store jsonl:P  stream cells to an append-only JSONL file; re-running
 //!                    with an existing file resumes, simulating only
 //!                    missing cells (fig4/fig5/fig6/fig7)
@@ -46,19 +46,19 @@
 //!                    per-stage cycle-attribution table instead of the
 //!                    evaluation reports; honours --benchmarks / --seed /
 //!                    --checkpoints / --warmup / --measure / --smoke
-//!   --progress       heartbeat on stderr: `[done/total] cells  N cells/s
-//!                    ETA Ts` (off by default; stdout is byte-identical
-//!                    with or without it)
 //!   --dir D          corpus directory for `trace record` / `trace replay`
 //!   --raw-addresses  with `trace record`: store data addresses verbatim
 //!                    instead of applying the keyed block translation
-//!   --quiet          suppress progress and timing on stderr
+//!   --quiet          suppress progress (`[done/total] cells  N cells/s
+//!                    ETA Ts`) and timing on stderr
 //!   --version        print the version and exit
 //! ```
 //!
 //! Reports go to stdout; progress and timing go to stderr, so piping stdout
-//! yields byte-identical output at any `--jobs` value — and a sharded run
-//! merged with `rsep merge` is byte-identical to an unsharded run.
+//! yields byte-identical output at any `--jobs` value, with or without
+//! `--quiet` — and a sharded run merged with `rsep merge` is
+//! byte-identical to an unsharded run. The flags are the only
+//! configuration: no environment variable changes a campaign.
 //!
 //! Exit codes: 0 success, 1 runtime failure (store I/O, corrupt or
 //! mismatched files), 2 usage error, 3 when a report was emitted in full
@@ -69,7 +69,7 @@
 
 use rsep_campaign::{
     merge_stored, presets, CachedStore, Campaign, CampaignResult, CampaignSpec, Executor,
-    JsonlStore, ReportFormat, Shard,
+    JsonlStore, MemoryStore, ReportFormat, ResultStore, Shard,
 };
 use rsep_core::MechanismConfig;
 use rsep_predictors::{BtbConfig, TageConfig};
@@ -125,7 +125,6 @@ struct Cli {
     shard: Option<Shard>,
     storage: bool,
     attribution: bool,
-    progress: bool,
     dir: Option<String>,
     raw_addresses: bool,
     /// Failed cells in the reports emitted so far.
@@ -137,7 +136,7 @@ fn usage() -> &'static str {
      [--jobs N] [--smoke] [--json|--csv|--md] [--benchmarks list] \
      [--seed N] [--checkpoints N] [--warmup N] [--measure N] \
      [--store jsonl:path] [--shard i/n] [--cache-dir dir | --cache] [--storage] \
-     [--attribution] [--progress] [--quiet] [--version]\n\
+     [--attribution] [--quiet] [--version]\n\
      trace subcommands: rsep trace record <campaign> --dir D | \
      rsep trace analyze <file> [--json] | rsep trace replay <campaign> --dir D"
 }
@@ -159,7 +158,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         shard: None,
         storage: false,
         attribution: false,
-        progress: false,
         dir: None,
         raw_addresses: false,
         failed_cells: Cell::new(0),
@@ -239,7 +237,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--raw-addresses" => cli.raw_addresses = true,
             "--storage" => cli.storage = true,
             "--attribution" => cli.attribution = true,
-            "--progress" => cli.progress = true,
             "--help" | "-h" => return Err(usage().to_string()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             command if cli.command.is_empty() => cli.command = command.to_string(),
@@ -263,7 +260,7 @@ impl Cli {
         }
         if let Some(list) = &self.benchmarks {
             // An explicit selection picks from the whole suite, not from
-            // whatever subset the env filter or --smoke left behind.
+            // whatever subset --smoke left behind.
             spec = spec
                 .with_profiles(rsep_trace::BenchmarkProfile::spec2006())
                 .with_benchmark_filter(list);
@@ -287,9 +284,8 @@ impl Cli {
         Ok(spec)
     }
 
-    fn campaign(&self) -> Campaign {
-        let jobs = self.jobs.unwrap_or_else(rsep_campaign::jobs_from_env);
-        Campaign::new(Executor::new(jobs).with_progress(!self.quiet).with_heartbeat(self.progress))
+    fn executor(&self) -> Executor {
+        self.jobs.map_or_else(Executor::auto, Executor::new).with_progress(!self.quiet)
     }
 
     fn emit(&self, exp: &Experiment) {
@@ -329,52 +325,42 @@ impl Cli {
     /// report (unless the run is a partial shard, whose report comes later
     /// from `rsep merge`).
     fn run_grid(&self, spec: CampaignSpec) -> Result<(), Failure> {
-        let campaign = self.campaign();
-        match &self.store {
-            StoreChoice::Memory => {
-                let result = campaign.run(&spec);
-                self.emit_grid(&result);
-                self.note(result.timing_summary());
-            }
+        let store_error = |e: rsep_campaign::StoreError| runtime_error(e.to_string());
+        let mut resumed_from = None;
+        let mut store: Box<dyn ResultStore> = match &self.store {
+            StoreChoice::Memory => Box::new(MemoryStore),
             StoreChoice::Jsonl(path) => {
-                let mut store = JsonlStore::open(path).map_err(|e| runtime_error(e.to_string()))?;
-                let resumed = store.resumed_cells();
-                let run = campaign
-                    .run_stored(&spec, &mut store, self.shard)
-                    .map_err(|e| runtime_error(e.to_string()))?;
-                if resumed > 0 {
-                    self.note(format!(
-                        "{}: resumed {path}: {} cells already stored",
-                        spec.id, run.hits
-                    ));
+                let store = JsonlStore::open(path).map_err(store_error)?;
+                if store.resumed_cells() > 0 {
+                    resumed_from = Some(path);
                 }
-                match (&run.result, self.shard) {
-                    (Some(result), _) => {
-                        self.emit_grid(result);
-                        self.note(result.timing_summary());
-                    }
-                    (None, Some(shard)) => self.note(format!(
-                        "{}: shard {}/{} complete: {} cells in {path}; \
-                         run the other shards, then `rsep merge`",
-                        spec.id,
-                        shard.index,
-                        shard.count,
-                        run.hits + run.executed
-                    )),
-                    (None, None) => unreachable!("unsharded runs resolve every cell"),
-                }
-                self.note(run.store_summary(&spec.id));
+                Box::new(store)
             }
-            StoreChoice::Cached(dir) => {
-                let mut store = CachedStore::open(dir).map_err(|e| runtime_error(e.to_string()))?;
-                let run = campaign
-                    .run_stored(&spec, &mut store, self.shard)
-                    .map_err(|e| runtime_error(e.to_string()))?;
-                let result = run.result.as_ref().expect("cached runs resolve every cell");
+            StoreChoice::Cached(dir) => Box::new(CachedStore::open(dir).map_err(store_error)?),
+        };
+        let run = Campaign::new(self.executor())
+            .run_stored(&spec, store.as_mut(), self.shard)
+            .map_err(store_error)?;
+        if let Some(path) = resumed_from {
+            self.note(format!("{}: resumed {path}: {} cells already stored", spec.id, run.hits));
+        }
+        match (&run.result, self.shard, &self.store) {
+            (Some(result), _, _) => {
                 self.emit_grid(result);
                 self.note(result.timing_summary());
-                self.note(run.store_summary(&spec.id));
             }
+            (None, Some(shard), StoreChoice::Jsonl(path)) => self.note(format!(
+                "{}: shard {}/{} complete: {} cells in {path}; \
+                 run the other shards, then `rsep merge`",
+                spec.id,
+                shard.index,
+                shard.count,
+                run.hits + run.executed
+            )),
+            _ => unreachable!("only a sharded JSONL run leaves cells unresolved"),
+        }
+        if self.store != StoreChoice::Memory {
+            self.note(run.store_summary(&spec.id));
         }
         Ok(())
     }
@@ -391,12 +377,12 @@ fn emit_text(text: &str) {
 
 /// Renders the per-mechanism storage-budget report (the paper's Table II
 /// comparison). The figures are pure functions of the configurations —
-/// exactly what each family's `Predictor::storage_bits` delegates to —
-/// so nothing allocates a table just to measure it.
+/// exactly what each predictor's `storage_bits` delegates to — so nothing
+/// allocates a table just to measure it.
 fn storage_text() -> String {
     let kb = |bits: u64| bits as f64 / 8.0 / 1024.0;
     let mut out = String::from(
-        "Per-mechanism storage budgets (Predictor::storage_bits)\n\n\
+        "Per-mechanism storage budgets (Table II)\n\n\
          front end (all configurations)\n",
     );
     let tage_bits = TageConfig::table1().storage_bits();
@@ -660,11 +646,8 @@ fn run_trace(cli: &Cli) -> Result<(), Failure> {
             let spec = cli.configure(trace_campaign(target)?)?;
             let dir = std::path::Path::new(cli.dir.as_deref().expect("validated"));
             let corpus = rsep_campaign::open_corpus(dir, &spec).map_err(runtime_error)?;
-            let jobs = cli.jobs.unwrap_or_else(rsep_campaign::jobs_from_env);
-            let executor =
-                Executor::new(jobs).with_progress(!cli.quiet).with_heartbeat(cli.progress);
-            let result =
-                rsep_campaign::replay_campaign(&executor, &spec, &corpus).map_err(runtime_error)?;
+            let result = rsep_campaign::replay_campaign(&cli.executor(), &spec, &corpus)
+                .map_err(runtime_error)?;
             cli.emit_grid(&result);
             cli.note(format!(
                 "{}: replayed {} cells from {} trace file(s) in {:.2?}",
@@ -704,7 +687,7 @@ fn run_command(cli: &Cli) -> Result<(), Failure> {
         }
         "fig1" => {
             let spec = cli.configure(presets::fig1())?;
-            let (exp, exec) = cli.campaign().run_redundancy(&spec);
+            let (exp, exec) = Campaign::new(cli.executor()).run_redundancy(&spec);
             cli.emit(&exp);
             cli.note(format!(
                 "figure1: {} cells on {} workers in {:.2?}",
@@ -725,7 +708,7 @@ fn run_command(cli: &Cli) -> Result<(), Failure> {
                 emit_text(&table1_text());
                 emit_text("\n");
                 let spec = cli.configure(presets::fig1())?;
-                let (exp, _) = cli.campaign().run_redundancy(&spec);
+                let (exp, _) = Campaign::new(cli.executor()).run_redundancy(&spec);
                 cli.emit(&exp);
             }
             for spec in specs {

@@ -43,13 +43,12 @@ impl ExecStats {
 pub struct Executor {
     jobs: usize,
     progress: bool,
-    heartbeat: bool,
 }
 
 impl Executor {
     /// Creates an executor with an explicit worker count (clamped to ≥ 1).
     pub fn new(jobs: usize) -> Executor {
-        Executor { jobs: jobs.max(1), progress: false, heartbeat: false }
+        Executor { jobs: jobs.max(1), progress: false }
     }
 
     /// Uses the machine's available parallelism.
@@ -57,18 +56,11 @@ impl Executor {
         Executor::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 
-    /// Enables `[done/total]` progress lines on stderr.
+    /// Enables progress lines on stderr, with a completion rate and an
+    /// ETA (`[done/total] cells  12.3 cells/s  ETA 8s`). They go to stderr
+    /// only, so report output is byte-identical with progress on or off.
     pub fn with_progress(mut self, progress: bool) -> Executor {
         self.progress = progress;
-        self
-    }
-
-    /// Enables the heartbeat: progress lines gain a completion rate and an
-    /// ETA (`[done/total] cells  12.3 cells/s  ETA 8s`). Off by default;
-    /// heartbeat lines go to stderr only, so report output is byte-identical
-    /// with the heartbeat on or off.
-    pub fn with_heartbeat(mut self, heartbeat: bool) -> Executor {
-        self.heartbeat = heartbeat;
         self
     }
 
@@ -118,7 +110,7 @@ impl Executor {
     {
         #[expect(
             clippy::disallowed_methods,
-            reason = "progress-heartbeat timing only; never reaches results"
+            reason = "progress timing only; never reaches results"
         )]
         let start = Instant::now();
         let cells = indices.len();
@@ -130,7 +122,7 @@ impl Executor {
             for (done, &index) in indices.iter().enumerate() {
                 #[expect(
                     clippy::disallowed_methods,
-                    reason = "progress-heartbeat timing only; never reaches results"
+                    reason = "progress timing only; never reaches results"
                 )]
                 let cell_start = Instant::now();
                 let value = cell(index);
@@ -170,7 +162,7 @@ impl Executor {
                     };
                     #[expect(
                         clippy::disallowed_methods,
-                        reason = "progress-heartbeat timing only; never reaches results"
+                        reason = "progress timing only; never reaches results"
                     )]
                     let cell_start = Instant::now();
                     let value = cell(index);
@@ -204,17 +196,13 @@ impl Executor {
     fn report_progress(&self, done: usize, total: usize, start: Instant) {
         // Throttle to ~20 updates per campaign so huge grids stay readable.
         let step = (total / 20).max(1);
-        if !done.is_multiple_of(step) && done != total {
+        if !self.progress || (!done.is_multiple_of(step) && done != total) {
             return;
         }
-        if self.heartbeat {
-            let elapsed = start.elapsed().as_secs_f64();
-            let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
-            let eta = if rate > 0.0 { ((total - done) as f64 / rate).ceil() as u64 } else { 0 };
-            eprintln!("[{done}/{total}] cells  {rate:.1} cells/s  ETA {eta}s");
-        } else if self.progress {
-            eprintln!("[{done}/{total}] cells complete");
-        }
+        let elapsed = start.elapsed().as_secs_f64();
+        let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
+        let eta = if rate > 0.0 { ((total - done) as f64 / rate).ceil() as u64 } else { 0 };
+        eprintln!("[{done}/{total}] cells  {rate:.1} cells/s  ETA {eta}s");
     }
 }
 

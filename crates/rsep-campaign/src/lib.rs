@@ -7,8 +7,7 @@
 //! into a first-class subsystem:
 //!
 //! * [`CampaignSpec`] — a declarative description of one campaign
-//!   (profiles × mechanisms × core config × checkpoint scale × seed),
-//!   honouring the `RSEP_*` scale environment variables;
+//!   (profiles × mechanisms × core config × checkpoint scale × seed);
 //! * [`Executor`] — a channel-fed thread pool that fans the independent
 //!   `(profile, mechanism, checkpoint)` cells across workers and collects
 //!   outputs by cell index, so results are **bit-identical at any thread
@@ -56,7 +55,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod env;
 pub mod executor;
 pub mod presets;
 pub mod replay;
@@ -64,7 +62,6 @@ pub mod report;
 pub mod spec;
 pub mod store;
 
-pub use env::jobs_from_env;
 pub use executor::{ExecStats, Executor};
 pub use replay::{open_corpus, record_campaign, replay_campaign, RecordedTrace};
 pub use report::ReportFormat;
@@ -399,11 +396,6 @@ impl Campaign {
         Campaign::new(Executor::new(jobs))
     }
 
-    /// Engine honouring `RSEP_JOBS` (default: machine parallelism).
-    pub fn from_env() -> Campaign {
-        Campaign::with_jobs(jobs_from_env())
-    }
-
     /// Runs a simulation campaign: every `(profile, mechanism, checkpoint)`
     /// cell of the spec, reassembled into per-benchmark results.
     ///
@@ -433,17 +425,47 @@ impl Campaign {
         store: &mut dyn ResultStore,
         shard: Option<Shard>,
     ) -> Result<StoredRun, StoreError> {
+        self.run_cells(spec, store, shard, |profile, mechanism, checkpoint| {
+            run_checkpoint(
+                &spec.profiles[profile],
+                mechanism,
+                &spec.core_config,
+                spec.checkpoints,
+                spec.seed,
+                checkpoint,
+            )
+        })
+    }
+
+    /// The grid runner behind [`Campaign::run_stored`] and
+    /// [`replay_campaign`]: expands the grid, serves or simulates each cell
+    /// through `store`, and assembles the rows. `simulate` runs one cell
+    /// given its profile index, mechanism and checkpoint index; the two
+    /// callers differ only in where that cell's instructions come from.
+    pub(crate) fn run_cells(
+        &self,
+        spec: &CampaignSpec,
+        store: &mut dyn ResultStore,
+        shard: Option<Shard>,
+        simulate: impl Fn(usize, &MechanismConfig, usize) -> CheckpointResult + Sync,
+    ) -> Result<StoredRun, StoreError> {
         let mechanisms = expand_mechanisms(spec);
         let n_mechanisms = mechanisms.len();
         let n_checkpoints = spec.checkpoints.count;
         let cells = spec.profiles.len() * n_mechanisms * n_checkpoints;
+        // Grid index → (profile, mechanism, checkpoint), checkpoint fastest.
+        let coords = |index: usize| {
+            (
+                index / (n_checkpoints * n_mechanisms),
+                (index / n_checkpoints) % n_mechanisms,
+                index % n_checkpoints,
+            )
+        };
 
         // Content-addressed identity of every cell of the grid.
         let keys: Vec<CellKey> = (0..cells)
             .map(|index| {
-                let checkpoint = index % n_checkpoints;
-                let mechanism = (index / n_checkpoints) % n_mechanisms;
-                let profile = index / (n_checkpoints * n_mechanisms);
+                let (profile, mechanism, checkpoint) = coords(index);
                 CellKey::for_cell(
                     &spec.profiles[profile],
                     &mechanisms[mechanism],
@@ -479,17 +501,8 @@ impl Campaign {
             cells,
             &todo,
             |index| {
-                let checkpoint = index % n_checkpoints;
-                let mechanism = (index / n_checkpoints) % n_mechanisms;
-                let profile = index / (n_checkpoints * n_mechanisms);
-                run_checkpoint(
-                    &spec.profiles[profile],
-                    &mechanisms[mechanism],
-                    &spec.core_config,
-                    spec.checkpoints,
-                    spec.seed,
-                    checkpoint,
-                )
+                let (profile, mechanism, checkpoint) = coords(index);
+                simulate(profile, &mechanisms[mechanism], checkpoint)
             },
             &mut |index, result: &CheckpointResult| {
                 // Stream each completed cell to the store. A failing store

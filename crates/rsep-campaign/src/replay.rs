@@ -17,10 +17,9 @@ use std::path::{Path, PathBuf};
 
 use rsep_core::{run_checkpoint_on, CheckpointResult};
 use rsep_isa::Fingerprint;
-use rsep_trace::TraceSource;
 use rsep_tracefile::{header_for, record_profile, AnonScheme, TraceFile};
 
-use crate::{assemble_rows, expand_mechanisms, CampaignResult, CampaignSpec, Executor};
+use crate::{Campaign, CampaignResult, CampaignSpec, Executor, MemoryStore};
 
 /// Path of one profile's trace within a corpus directory.
 fn trace_path(dir: &Path, profile: &str) -> PathBuf {
@@ -136,9 +135,9 @@ pub fn open_corpus(dir: &Path, spec: &CampaignSpec) -> Result<Vec<TraceFile>, St
 /// (one validated [`TraceFile`] per profile, spec order) instead of live
 /// generators.
 ///
-/// Cell expansion, execution order and row assembly mirror
-/// [`Campaign::run`](crate::Campaign::run) exactly, so the result renders
-/// byte-identically to a live run of the same spec.
+/// This is [`Campaign::run_stored`](crate::Campaign::run_stored)'s grid
+/// runner over a [`MemoryStore`] with the trace source swapped, so the
+/// result renders byte-identically to a live run of the same spec.
 pub fn replay_campaign(
     executor: &Executor,
     spec: &CampaignSpec,
@@ -151,33 +150,27 @@ pub fn replay_campaign(
             spec.profiles.len()
         ));
     }
-    let mechanisms = expand_mechanisms(spec);
-    let n_mechanisms = mechanisms.len();
-    let n_checkpoints = spec.checkpoints.count;
-    let cells = spec.profiles.len() * n_mechanisms * n_checkpoints;
-    let (outputs, exec) = executor.run(cells, |index| {
-        let checkpoint = index % n_checkpoints;
-        let mechanism = (index / n_checkpoints) % n_mechanisms;
-        let profile = index / (n_checkpoints * n_mechanisms);
-        let mut segment = corpus[profile]
-            .segment(checkpoint)
-            .expect("segment count was validated against the spec");
-        // A read or decode error ends the segment early; it fails the cell
-        // with that error instead of leaving a silently short run.
-        let result = run_checkpoint_on(
-            &mut segment,
-            &mechanisms[mechanism],
-            &spec.core_config,
-            spec.checkpoints,
-            checkpoint,
-        );
-        match segment.error() {
-            Some(e) => CheckpointResult::failed(checkpoint, &format!("{}: {e}", segment.origin())),
-            None => result,
-        }
-    });
-    let benchmarks: Vec<String> = spec.profiles.iter().map(|p| p.name.to_string()).collect();
-    let labels: Vec<String> = mechanisms.iter().map(|m| m.label.clone()).collect();
-    let rows = assemble_rows(&benchmarks, &labels, spec.baseline, n_checkpoints, outputs);
-    Ok(CampaignResult { id: spec.id.clone(), rows, exec })
+    let run = Campaign::new(executor.clone())
+        .run_cells(spec, &mut MemoryStore, None, |profile, mechanism, checkpoint| {
+            let mut segment = corpus[profile]
+                .segment(checkpoint)
+                .expect("segment count was validated against the spec");
+            // A read or decode error ends the segment early; it fails the
+            // cell with that error instead of leaving a silently short run.
+            let result = run_checkpoint_on(
+                &mut segment,
+                mechanism,
+                &spec.core_config,
+                spec.checkpoints,
+                checkpoint,
+            );
+            match segment.error() {
+                Some(e) => {
+                    CheckpointResult::failed(checkpoint, &format!("{}: {e}", segment.origin()))
+                }
+                None => result,
+            }
+        })
+        .expect("an in-memory campaign cannot fail");
+    Ok(run.result.expect("an unsharded campaign resolves every cell"))
 }

@@ -5,19 +5,11 @@
 //! checkpoint scale × seed. The runner expands it into independent
 //! `(profile, mechanism, checkpoint)` cells for the executor.
 //!
-//! Scale knobs honour the `RSEP_*` environment variables (see
-//! [`CampaignSpec::apply_env`]):
-//!
-//! | variable | meaning |
-//! |---|---|
-//! | `RSEP_CHECKPOINTS` | checkpoints per benchmark |
-//! | `RSEP_WARMUP` | warm-up instructions per checkpoint |
-//! | `RSEP_MEASURE` | measured instructions per checkpoint |
-//! | `RSEP_BENCHMARKS` | comma-separated benchmark subset (or `all`) |
-//! | `RSEP_SEED` | trace generation seed |
-//! | `RSEP_JOBS` | worker threads (0 = machine parallelism) |
+//! A spec is a pure value: nothing in it is read from the environment, so
+//! a preset means the same grid in every shell. The `rsep` CLI's scale
+//! flags (`--benchmarks`, `--seed`, `--checkpoints`, `--warmup`,
+//! `--measure`) are the one way to change it from the command line.
 
-use crate::env::env_u64;
 use rsep_core::MechanismConfig;
 use rsep_isa::Fingerprint;
 use rsep_trace::{BenchmarkProfile, CheckpointSpec};
@@ -64,10 +56,19 @@ impl Fingerprint for CampaignSpec {
     }
 }
 
+/// Default checkpoints per profile.
+const DEFAULT_CHECKPOINTS: usize = 1;
+/// Default warm-up instructions per checkpoint.
+const DEFAULT_WARMUP: u64 = 100_000;
+/// Default measured instructions per checkpoint.
+const DEFAULT_MEASURE: u64 = 60_000;
+/// Default campaign seed.
+const DEFAULT_SEED: u64 = 42;
+
 impl CampaignSpec {
     /// A campaign with the default evaluation setting: the full SPEC-like
-    /// suite, Table I core, the default checkpoint scale, seed 42, no
-    /// mechanisms yet.
+    /// suite, Table I core, 1 checkpoint of 100K warm-up + 60K measured
+    /// instructions, seed 42, no mechanisms yet.
     pub fn new(id: impl Into<String>) -> CampaignSpec {
         CampaignSpec {
             id: id.into(),
@@ -76,11 +77,11 @@ impl CampaignSpec {
             baseline: true,
             core_config: CoreConfig::table1(),
             checkpoints: CheckpointSpec::scaled(
-                env_u64("RSEP_CHECKPOINTS", 1) as usize,
-                env_u64("RSEP_WARMUP", 100_000),
-                env_u64("RSEP_MEASURE", 60_000),
+                DEFAULT_CHECKPOINTS,
+                DEFAULT_WARMUP,
+                DEFAULT_MEASURE,
             ),
-            seed: env_u64("RSEP_SEED", 42),
+            seed: DEFAULT_SEED,
         }
     }
 
@@ -128,8 +129,7 @@ impl CampaignSpec {
     /// Shrinks the campaign to CI-smoke size: one checkpoint of 2K warm-up
     /// plus 8K measured instructions, and — when no subset was selected
     /// yet — six representative profiles. An explicit selection
-    /// (`RSEP_BENCHMARKS` or `--benchmarks`) is kept as-is, so smoke
-    /// changes scale, not choice.
+    /// (`--benchmarks`) is kept as-is, so smoke changes scale, not choice.
     pub fn smoke(mut self) -> CampaignSpec {
         if self.profiles.len() == BenchmarkProfile::spec2006().len() {
             let names = ["mcf", "dealII", "libquantum", "perlbench", "gcc", "zeusmp"];
@@ -137,15 +137,6 @@ impl CampaignSpec {
         }
         self.checkpoints = CheckpointSpec::scaled(1, 2_000, 8_000);
         self
-    }
-
-    /// Applies the `RSEP_BENCHMARKS` environment filter (the scale
-    /// variables are already read by [`CampaignSpec::new`]).
-    pub fn apply_env(self) -> CampaignSpec {
-        match std::env::var("RSEP_BENCHMARKS") {
-            Ok(list) => self.with_benchmark_filter(&list),
-            Err(_) => self,
-        }
     }
 
     /// Number of simulation cells this spec expands to.
@@ -171,6 +162,8 @@ mod tests {
         assert_eq!(spec.profiles.len(), 29);
         assert!(spec.baseline);
         assert_eq!(spec.id, "x");
+        assert_eq!(spec.checkpoints, CheckpointSpec::scaled(1, 100_000, 60_000));
+        assert_eq!(spec.seed, 42);
     }
 
     #[test]

@@ -4,16 +4,7 @@
 use std::process::Command;
 
 fn rsep(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_rsep"))
-        .args(args)
-        .env_remove("RSEP_CHECKPOINTS")
-        .env_remove("RSEP_WARMUP")
-        .env_remove("RSEP_MEASURE")
-        .env_remove("RSEP_BENCHMARKS")
-        .env_remove("RSEP_SEED")
-        .env_remove("RSEP_JOBS")
-        .output()
-        .expect("rsep binary runs")
+    Command::new(env!("CARGO_BIN_EXE_rsep")).args(args).output().expect("rsep binary runs")
 }
 
 #[test]
@@ -96,7 +87,7 @@ fn bad_usage_exits_2() {
 #[test]
 fn storage_report_reproduces_the_paper_comparison() {
     // `rsep run --storage` prints the Table II storage-budget comparison
-    // (computed through the unified Predictor::storage_bits) and exits
+    // (computed from each configuration's storage_bits) and exits
     // without simulating — so it must be fast and self-contained.
     let output = rsep(&["run", "--storage"]);
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
@@ -171,16 +162,47 @@ fn progress_heartbeat_leaves_stdout_byte_identical() {
         "--measure",
         "500",
         "--csv",
-        "--quiet",
     ];
-    let without = rsep(&args);
-    let mut with_args = args.to_vec();
-    with_args.push("--progress");
-    let with = rsep(&with_args);
+    let with = rsep(&args);
+    let mut quiet_args = args.to_vec();
+    quiet_args.push("--quiet");
+    let without = rsep(&quiet_args);
     assert!(without.status.success() && with.status.success());
-    assert_eq!(without.stdout, with.stdout, "--progress must not change report output");
+    assert_eq!(without.stdout, with.stdout, "progress lines must not change report output");
     let stderr = String::from_utf8_lossy(&with.stderr);
     assert!(stderr.contains("cells/s") && stderr.contains("ETA"), "heartbeat missing: {stderr}");
+    assert!(
+        without.stderr.is_empty(),
+        "--quiet still wrote: {}",
+        String::from_utf8_lossy(&without.stderr)
+    );
+}
+
+#[test]
+fn the_environment_does_not_change_a_campaign() {
+    // Scale and selection come from flags only: variables that once set
+    // them must leave the report byte-identical.
+    let args = ["fig4", "--smoke", "--json", "--quiet"];
+    let vars = [
+        ("RSEP_BENCHMARKS", "mcf"),
+        ("RSEP_SEED", "7"),
+        ("RSEP_MEASURE", "1000"),
+        ("RSEP_JOBS", "1"),
+    ];
+    let mut clean = Command::new(env!("CARGO_BIN_EXE_rsep"));
+    clean.args(args);
+    for (name, _) in vars {
+        clean.env_remove(name);
+    }
+    let clean = clean.output().expect("rsep binary runs");
+    let set = Command::new(env!("CARGO_BIN_EXE_rsep"))
+        .args(args)
+        .envs(vars)
+        .output()
+        .expect("rsep binary runs");
+    assert!(clean.status.success() && set.status.success());
+    assert!(!clean.stdout.is_empty());
+    assert_eq!(clean.stdout, set.stdout, "RSEP_* variables changed the fig4 report");
 }
 
 #[test]

@@ -52,20 +52,10 @@ fn redundancy_campaign_is_thread_count_invariant() {
     assert_eq!(serial.to_json(), parallel.to_json());
 }
 
-/// Runs the `rsep` binary with a scrubbed environment and returns its
-/// output. Asserts success.
+/// Runs the `rsep` binary and returns its output. Asserts success.
 fn rsep(args: &[&str]) -> Vec<u8> {
-    let output = Command::new(env!("CARGO_BIN_EXE_rsep"))
-        .args(args)
-        // Campaign scale must not leak in from the caller's environment.
-        .env_remove("RSEP_CHECKPOINTS")
-        .env_remove("RSEP_WARMUP")
-        .env_remove("RSEP_MEASURE")
-        .env_remove("RSEP_BENCHMARKS")
-        .env_remove("RSEP_SEED")
-        .env_remove("RSEP_JOBS")
-        .output()
-        .expect("rsep binary runs");
+    let output =
+        Command::new(env!("CARGO_BIN_EXE_rsep")).args(args).output().expect("rsep binary runs");
     assert!(
         output.status.success(),
         "rsep {args:?} exited {:?}: {}",
@@ -142,12 +132,6 @@ fn cli_cached_rerun_is_byte_identical_and_fully_cached() {
     // --quiet so the store summary is observable.
     let output = Command::new(env!("CARGO_BIN_EXE_rsep"))
         .args(["fig7", "--smoke", "--json", "--benchmarks", "mcf", "--cache-dir", cache])
-        .env_remove("RSEP_CHECKPOINTS")
-        .env_remove("RSEP_WARMUP")
-        .env_remove("RSEP_MEASURE")
-        .env_remove("RSEP_BENCHMARKS")
-        .env_remove("RSEP_SEED")
-        .env_remove("RSEP_JOBS")
         .output()
         .expect("rsep binary runs");
     assert!(output.status.success());

@@ -353,8 +353,7 @@ fn preset_fingerprints() -> Vec<(String, u64)> {
 }
 
 /// Pinned fingerprint values: a reordered, dropped or added write changes
-/// one of them and every cached cell key with it. Like the golden digests,
-/// the campaign entries assume `RSEP_SEED` and `RSEP_BENCHMARKS` are unset.
+/// one of them and every cached cell key with it.
 const PINNED_FINGERPRINTS: &[(&str, u64)] = &[
     ("core/table1", 0x8830855f8a086429),
     ("core/small_test", 0x191e24d78170b0fc),

@@ -222,12 +222,12 @@ impl MechanismConfig {
 
     /// Per-component storage budget of this mechanism's prediction
     /// hardware, in bits — the paper's Table II comparison (10.1 KB
-    /// realistic RSEP predictor vs ≈256 KB D-VTAGE). Predictor costs come
-    /// from the per-config `storage_bits` (exactly what each family's
-    /// [`rsep_predictors::Predictor::storage_bits`] delegates to, without
-    /// allocating the tables just to measure them); the RSEP bookkeeping
-    /// structures (FIFO history, ISRB, distance-propagation FIFO) are
-    /// added from their own configs.
+    /// realistic RSEP predictor vs ≈256 KB D-VTAGE). The predictors' costs
+    /// come from the per-config `storage_bits` (exactly what each
+    /// predictor's own `storage_bits` delegates to, without allocating the
+    /// tables just to measure them); the RSEP bookkeeping structures (FIFO
+    /// history, ISRB, distance-propagation FIFO) are added from their own
+    /// configs.
     pub fn storage_breakdown(&self) -> Vec<(&'static str, u64)> {
         let mut rows = Vec::new();
         if let Some(rsep) = &self.rsep {
@@ -323,7 +323,7 @@ mod tests {
     fn ideal_and_realistic_storage_match_the_paper() {
         let ideal = RsepConfig::ideal();
         let realistic = RsepConfig::realistic();
-        // Predictor alone: 42.6 KB vs 10.1 KB.
+        // The predictor alone: 42.6 KB vs 10.1 KB.
         assert!((ideal.predictor.storage_kb() - 42.6).abs() < 1.0);
         assert!((realistic.predictor.storage_kb() - 10.1).abs() < 0.7);
         // Full realistic mechanism: about 10.8 KB (predictor + 384 B history

@@ -23,10 +23,7 @@ use crate::config::{MechanismConfig, RsepConfig, VpConfig};
 use crate::fifo_history::FifoHistory;
 use crate::isrb::Isrb;
 use rsep_isa::{DynInst, OpClass, PhysReg};
-use rsep_predictors::{
-    DistancePredictor, Dvtage, GlobalHistory, IDistPredictor as _, Predictor, PredictorStats,
-    ZeroPredictor,
-};
+use rsep_predictors::{DistancePredictor, Dvtage, GlobalHistory, PredictorStats, ZeroPredictor};
 use rsep_uarch::{Disposition, RenameAction, RenameContext, SpecEngine};
 #[expect(clippy::disallowed_types, reason = "keyed lookup only; the map is never iterated")]
 use std::collections::HashMap;
@@ -299,17 +296,7 @@ impl SpecEngine for RsepEngine {
 
     fn on_squash(&mut self, from_seq: u64) -> Vec<PhysReg> {
         self.pending_distances.retain(|&seq, _| seq < from_seq);
-        // Predictors train at commit only, so their on_squash hooks are
-        // no-ops — broadcast anyway to honour the trait contract.
-        if let Some(d) = self.distance.as_mut() {
-            d.on_squash(from_seq);
-        }
-        if let Some(v) = self.dvtage.as_mut() {
-            v.on_squash(from_seq);
-        }
-        if let Some(z) = self.zero.as_mut() {
-            z.on_squash(from_seq);
-        }
+        // The predictors train at commit only, so a squash leaves them be.
         if let Some(isrb) = self.isrb.as_mut() {
             isrb.on_squash(from_seq);
         }

@@ -17,7 +17,7 @@
 //!   the cycle-level core of `rsep-uarch` (Figure 3);
 //! * [`RedundancyAnalyzer`] — the commit-time value-redundancy analysis of
 //!   Figure 1;
-//! * [`run_benchmark`] / [`run_comparison`] — the checkpointed methodology
+//! * [`run_benchmark`] / [`run_checkpoint`] — the checkpointed methodology
 //!   of Section V.
 //!
 //! # Quick start
@@ -33,7 +33,7 @@
 //!                              &CoreConfig::small_test(), spec, 1);
 //! let rsep = run_benchmark(&profile, &MechanismConfig::rsep_ideal(),
 //!                          &CoreConfig::small_test(), spec, 1);
-//! println!("speedup: {:.3}", rsep.speedup_over(&baseline));
+//! println!("IPC {:.3} -> {:.3}", baseline.ipc, rsep.ipc);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,6 +53,6 @@ pub use fifo_history::{FifoHistory, FifoHistoryConfig, FifoHistoryStats, PairMat
 pub use isrb::{Isrb, IsrbConfig, IsrbStats};
 pub use redundancy::{RedundancyAnalyzer, RedundancyConfig, RedundancyReport};
 pub use runner::{
-    checkpoint_seed, run_benchmark, run_checkpoint, run_checkpoint_on, run_comparison,
-    BenchmarkResult, CheckpointResult,
+    checkpoint_seed, run_benchmark, run_checkpoint, run_checkpoint_on, BenchmarkResult,
+    CheckpointResult,
 };

@@ -41,16 +41,6 @@ pub struct BenchmarkResult {
 }
 
 impl BenchmarkResult {
-    /// Speedup of this result over a baseline result for the same
-    /// benchmark.
-    pub fn speedup_over(&self, baseline: &BenchmarkResult) -> f64 {
-        if baseline.ipc == 0.0 {
-            0.0
-        } else {
-            self.ipc / baseline.ipc
-        }
-    }
-
     /// Assembles a benchmark result from independently executed checkpoint
     /// cells. Checkpoints are sorted by index first, so the result is
     /// identical no matter in which order (or on which thread) the cells
@@ -222,21 +212,6 @@ pub fn run_benchmark(
     BenchmarkResult::from_checkpoints(profile.name, mechanism.label.clone(), checkpoints)
 }
 
-/// Runs a benchmark under the baseline and one or more mechanism
-/// configurations and returns `(baseline, results)`.
-pub fn run_comparison(
-    profile: &BenchmarkProfile,
-    mechanisms: &[MechanismConfig],
-    core_config: &CoreConfig,
-    spec: CheckpointSpec,
-    seed: u64,
-) -> (BenchmarkResult, Vec<BenchmarkResult>) {
-    let baseline = run_benchmark(profile, &MechanismConfig::baseline(), core_config, spec, seed);
-    let results =
-        mechanisms.iter().map(|m| run_benchmark(profile, m, core_config, spec, seed)).collect();
-    (baseline, results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,23 +320,5 @@ mod tests {
             "accuracy = {}",
             result.stats.prediction_accuracy()
         );
-    }
-
-    #[test]
-    fn comparison_returns_one_result_per_mechanism() {
-        let profile = BenchmarkProfile::by_name("hmmer").unwrap();
-        let (baseline, results) = run_comparison(
-            &profile,
-            &[MechanismConfig::move_elim(), MechanismConfig::value_pred()],
-            &CoreConfig::small_test(),
-            CheckpointSpec::scaled(1, 500, 2_000),
-            7,
-        );
-        assert_eq!(baseline.mechanism, "baseline");
-        assert_eq!(results.len(), 2);
-        for r in &results {
-            let speedup = r.speedup_over(&baseline);
-            assert!(speedup > 0.5 && speedup < 2.0, "{}: speedup {speedup}", r.mechanism);
-        }
     }
 }

@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -61,13 +62,20 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Writes `text` to stdout. Returns `false` when stdout cannot take it,
+/// e.g. after the reader closed the pipe (`rsep-lint --json | head` must
+/// not panic).
+fn emit(text: &str) -> bool {
+    std::io::stdout().write_all(text.as_bytes()).is_ok()
+}
+
 fn main() -> ExitCode {
     let mut root: Option<String> = None;
     let mut json = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                emit(&format!("{USAGE}\n"));
                 return ExitCode::SUCCESS;
             }
             "--json" => json = true,
@@ -92,8 +100,10 @@ fn main() -> ExitCode {
         }
         Ok((findings, scanned)) => {
             let failing = findings.iter().filter(|f| !f.exempted).count();
+            let code = if failing == 0 { ExitCode::SUCCESS } else { ExitCode::from(1) };
+            let mut out = String::new();
             if json {
-                let mut out = String::from("[");
+                out.push('[');
                 for (i, f) in findings.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
@@ -108,20 +118,22 @@ fn main() -> ExitCode {
                         f.exempted
                     ));
                 }
-                out.push_str(if findings.is_empty() { "]" } else { "\n]" });
-                println!("{out}");
+                out.push_str(if findings.is_empty() { "]\n" } else { "\n]\n" });
             } else {
                 for f in findings.iter().filter(|f| !f.exempted) {
-                    println!("{}", f.diag);
+                    out.push_str(&format!("{}\n", f.diag));
                 }
+            }
+            // A closed stdout ends the run quietly, with the verdict intact.
+            if !emit(&out) {
+                return code;
             }
             if failing == 0 {
                 eprintln!("rsep-lint: clean ({scanned} files)");
-                ExitCode::SUCCESS
             } else {
                 eprintln!("rsep-lint: {failing} finding(s) in {scanned} files");
-                ExitCode::from(1)
             }
+            code
         }
     }
 }

@@ -1,13 +1,13 @@
 //! Branch target buffer and return address stack (Table I front end).
 //!
-//! The BTB is the fifth family on the unified [`Predictor`] trait: a
-//! `predict` is a target lookup, a `train` installs or updates the target
-//! of a taken branch. Storage is struct-of-arrays — flat tag and target
+//! The BTB has the same `predict` / `train` shape as the other predictor
+//! families: a `predict` is a target lookup, a `train` installs or updates
+//! the target of a taken branch. Storage is struct-of-arrays — flat tag and target
 //! arrays indexed `set * 2 + way` plus one packed valid/replacement byte
 //! per set — instead of the former `Vec<[Entry; 2]>` of structs.
 
 use crate::history::GlobalHistory;
-use crate::predictor::{Predictor, PredictorStats};
+use crate::predictor::PredictorStats;
 
 /// Configuration of a [`Btb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,24 +106,16 @@ impl Btb {
             valid && self.tags[set * 2 + way] == pc
         })
     }
-}
 
-impl Predictor for Btb {
-    type Config = BtbConfig;
-    /// The predicted target address.
-    type Prediction = u64;
-    /// The observed target of a taken branch.
-    type Outcome = u64;
-    type Stats = PredictorStats;
-
-    fn name(&self) -> &'static str {
+    /// Short family name, used to label statistics and storage reports.
+    pub fn name(&self) -> &'static str {
         "btb"
     }
 
     /// Looks up the predicted target of the branch at `pc`. The global
     /// history is unused: the BTB is PC-indexed.
     #[inline]
-    fn predict(&mut self, pc: u64, _history: &GlobalHistory) -> Option<u64> {
+    pub fn predict(&mut self, pc: u64, _history: &GlobalHistory) -> Option<u64> {
         self.stats.lookups += 1;
         let set = self.set_index(pc);
         let way = self.find_way(set, pc)?;
@@ -133,7 +125,7 @@ impl Predictor for Btb {
 
     /// Installs or updates the target of the taken branch at `pc`.
     #[inline]
-    fn train(&mut self, pc: u64, target: u64, _history: &GlobalHistory) {
+    pub fn train(&mut self, pc: u64, target: u64, _history: &GlobalHistory) {
         let set = self.set_index(pc);
         if let Some(way) = self.find_way(set, pc) {
             if self.targets[set * 2 + way] == target {
@@ -161,15 +153,13 @@ impl Predictor for Btb {
         self.meta[set] |= WAY0_VALID << way;
     }
 
-    fn config(&self) -> &BtbConfig {
-        &self.config
-    }
-
-    fn stats(&self) -> PredictorStats {
+    /// Statistics collected so far.
+    pub fn stats(&self) -> PredictorStats {
         self.stats
     }
 
-    fn storage_bits(&self) -> u64 {
+    /// Total storage cost in bits (the paper's comparison metric).
+    pub fn storage_bits(&self) -> u64 {
         self.config.storage_bits()
     }
 }
@@ -178,8 +168,8 @@ impl Predictor for Btb {
 ///
 /// Table I specifies a 32-entry RAS. Pushes wrap around (overwriting the
 /// oldest entry) as in real hardware. The RAS is a stack, not a trained
-/// table, so it sits beside the [`Predictor`] family inside the
-/// [`PredictorStack`](crate::PredictorStack) rather than on the trait.
+/// table, so it sits beside the predictors inside the
+/// [`PredictorStack`](crate::PredictorStack) and has no `predict`/`train`.
 #[derive(Debug)]
 pub struct ReturnAddressStack {
     entries: Vec<u64>,
@@ -293,7 +283,7 @@ mod tests {
     #[test]
     fn btb_storage_and_config() {
         let btb = Btb::table1();
-        assert_eq!(btb.config().entries, 4096);
+        assert_eq!(btb.config.entries, 4096);
         assert_eq!(btb.storage_bits(), BtbConfig::table1().storage_bits());
         assert!(btb.storage_bits() > 4096 * 50);
     }

@@ -28,7 +28,7 @@
 
 use crate::counters::{ConfidenceParams, Lfsr};
 use crate::history::{FoldStateSoa, GlobalHistory};
-use crate::predictor::{IDistPredictor, Predictor, PredictorStats};
+use crate::predictor::PredictorStats;
 
 /// Configuration of the distance predictor.
 #[derive(Debug, Clone, PartialEq)]
@@ -357,18 +357,9 @@ impl DistancePredictor {
             }
         }
     }
-}
 
-impl Predictor for DistancePredictor {
-    type Config = DistancePredictorConfig;
-    type Prediction = DistancePrediction;
-    /// The IDist observed at commit (from the FIFO history or the
-    /// validation mechanism); distances larger than the representable
-    /// maximum are clamped and treated as "no pair".
-    type Outcome = u32;
-    type Stats = PredictorStats;
-
-    fn name(&self) -> &'static str {
+    /// Short family name, used to label statistics and storage reports.
+    pub fn name(&self) -> &'static str {
         "distance"
     }
 
@@ -377,7 +368,7 @@ impl Predictor for DistancePredictor {
     /// Returns `None` when no component holds an entry for this
     /// instruction. The returned prediction may still be unusable if its
     /// confidence is not saturated — check [`DistancePrediction::usable`].
-    fn predict(&mut self, pc: u64, history: &GlobalHistory) -> Option<DistancePrediction> {
+    pub fn predict(&mut self, pc: u64, history: &GlobalHistory) -> Option<DistancePrediction> {
         self.stats.lookups += 1;
         // Longest-history matching tagged component wins.
         for comp in (0..self.config.num_tagged).rev() {
@@ -416,8 +407,10 @@ impl Predictor for DistancePredictor {
     }
 
     /// Trains the predictor with an observed distance for the instruction
-    /// at `pc`.
-    fn train(&mut self, pc: u64, observed: u32, history: &GlobalHistory) {
+    /// at `pc` (from the FIFO history or the validation mechanism).
+    /// Distances beyond [`DistancePredictor::max_distance`] are clamped to
+    /// it.
+    pub fn train(&mut self, pc: u64, observed: u32, history: &GlobalHistory) {
         let observed = observed.min(self.config.max_distance()) as u16;
         // Find the providing component exactly as predict would.
         let prediction = self.lookup_provider(pc, history);
@@ -476,25 +469,22 @@ impl Predictor for DistancePredictor {
 
     /// Advances the folded histories after a branch outcome has been pushed
     /// into the global history.
-    fn on_history_update(&mut self, history: &GlobalHistory) {
+    pub fn on_history_update(&mut self, history: &GlobalHistory) {
         self.folds.advance(history);
     }
 
-    fn config(&self) -> &DistancePredictorConfig {
-        &self.config
-    }
-
-    fn stats(&self) -> PredictorStats {
+    /// Statistics collected so far.
+    pub fn stats(&self) -> PredictorStats {
         self.stats
     }
 
-    fn storage_bits(&self) -> u64 {
+    /// Total storage cost in bits (the paper's comparison metric).
+    pub fn storage_bits(&self) -> u64 {
         self.config.storage_bits()
     }
-}
 
-impl IDistPredictor for DistancePredictor {
-    fn max_distance(&self) -> u32 {
+    /// Largest representable distance (ROB-bounded).
+    pub fn max_distance(&self) -> u32 {
         self.config.max_distance()
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::counters::{ConfidenceParams, Lfsr};
 use crate::history::{FoldStateSoa, GlobalHistory};
-use crate::predictor::{Predictor, PredictorStats, ValuePredictor};
+use crate::predictor::PredictorStats;
 
 /// Configuration of a D-VTAGE value predictor.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,21 +282,14 @@ impl Dvtage {
             }
         }
     }
-}
 
-impl Predictor for Dvtage {
-    type Config = DvtageConfig;
-    type Prediction = ValuePrediction;
-    /// The committed 64-bit result.
-    type Outcome = u64;
-    type Stats = PredictorStats;
-
-    fn name(&self) -> &'static str {
+    /// Short family name, used to label statistics and storage reports.
+    pub fn name(&self) -> &'static str {
         "dvtage"
     }
 
     /// Looks up a value prediction for the instruction at `pc`.
-    fn predict(&mut self, pc: u64, history: &GlobalHistory) -> Option<ValuePrediction> {
+    pub fn predict(&mut self, pc: u64, history: &GlobalHistory) -> Option<ValuePrediction> {
         self.stats.lookups += 1;
         let base_idx = self.base_index(pc);
         if self.base_meta[base_idx] & VALID == 0 {
@@ -329,7 +322,7 @@ impl Predictor for Dvtage {
 
     /// Trains the predictor with the committed result of the instruction at
     /// `pc`.
-    fn train(&mut self, pc: u64, actual: u64, history: &GlobalHistory) {
+    pub fn train(&mut self, pc: u64, actual: u64, history: &GlobalHistory) {
         let base_idx = self.base_index(pc);
         let predicted = if self.base_meta[base_idx] & VALID != 0 {
             let mut stride = self.base_stride[base_idx];
@@ -408,26 +401,18 @@ impl Predictor for Dvtage {
     }
 
     /// Advances the folded histories after a branch outcome was pushed.
-    fn on_history_update(&mut self, history: &GlobalHistory) {
+    pub fn on_history_update(&mut self, history: &GlobalHistory) {
         self.folds.advance(history);
     }
 
-    fn config(&self) -> &DvtageConfig {
-        &self.config
-    }
-
-    fn stats(&self) -> PredictorStats {
+    /// Statistics collected so far.
+    pub fn stats(&self) -> PredictorStats {
         self.stats
     }
 
-    fn storage_bits(&self) -> u64 {
+    /// Total storage cost in bits (the paper's comparison metric).
+    pub fn storage_bits(&self) -> u64 {
         self.config.storage_bits()
-    }
-}
-
-impl ValuePredictor<ValuePrediction> for Dvtage {
-    fn usable(prediction: &ValuePrediction) -> bool {
-        prediction.usable()
     }
 }
 
@@ -549,9 +534,11 @@ mod tests {
 
     #[test]
     fn usable_gate_via_the_value_predictor_trait() {
+        // The gate is `ValuePrediction::usable`; the name predates the
+        // trait's removal.
         let p = ValuePrediction { value: 1, confidence: 7, confidence_max: 7 };
-        assert!(<Dvtage as ValuePredictor<_>>::usable(&p));
+        assert!(p.usable());
         let p = ValuePrediction { value: 1, confidence: 3, confidence_max: 7 };
-        assert!(!<Dvtage as ValuePredictor<_>>::usable(&p));
+        assert!(!p.usable());
     }
 }

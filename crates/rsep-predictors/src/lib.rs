@@ -1,14 +1,9 @@
 //! # rsep-predictors
 //!
-//! Prediction structures used by the RSEP reproduction, unified behind one
-//! trait family (see [`predictor`]):
+//! Prediction structures used by the RSEP reproduction. Every family has
+//! the same inherent `predict` / `train` / `storage_bits` / `stats` shape
+//! and reports the shared [`PredictorStats`] counters (see [`predictor`]):
 //!
-//! * [`Predictor`] — the common interface: `predict` / `train` /
-//!   `on_squash` / `storage_bits` / `fingerprint`, with associated
-//!   `Config: Fingerprint`, `Prediction`, `Outcome` and `Stats` types and
-//!   the shared [`PredictorStats`] counters. Sub-traits refine the shape
-//!   per family: [`BranchPredictor`] (TAGE), [`ValuePredictor`] (D-VTAGE,
-//!   zero) and [`IDistPredictor`] (the distance predictor).
 //! * [`Tage`] — the TAGE conditional branch predictor of the Table I front
 //!   end (1 + 12 components, ~15K entries).
 //! * [`DistancePredictor`] — the TAGE-like instruction-distance predictor of
@@ -50,7 +45,7 @@ pub use counters::{ConfidenceParams, Lfsr, ProbabilisticCounter, SaturatingCount
 pub use distance::{DistancePrediction, DistancePredictor, DistancePredictorConfig};
 pub use dvtage::{Dvtage, DvtageConfig, ValuePrediction};
 pub use history::{FoldStateSoa, FoldedHistory, GlobalHistory};
-pub use predictor::{BranchPredictor, IDistPredictor, Predictor, PredictorStats, ValuePredictor};
+pub use predictor::PredictorStats;
 pub use stack::{PredictRequest, PredictorStack};
 pub use tage::{Tage, TageConfig, TagePrediction};
 pub use zero::{ZeroPrediction, ZeroPredictor, ZeroPredictorConfig};

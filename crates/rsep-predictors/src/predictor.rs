@@ -1,43 +1,31 @@
-//! The unified predictor API.
+//! Statistics shared by every predictor family.
 //!
-//! Every predictor family of the reproduction — TAGE (branch direction),
-//! the TAGE-like instruction-distance predictor, D-VTAGE (values), the
-//! zero predictor and the BTB (branch targets) — implements one trait,
-//! [`Predictor`], so the rest of the workspace can train, interrogate,
-//! fingerprint and *cost* them uniformly:
+//! The five families — TAGE (branch direction), the TAGE-like
+//! instruction-distance predictor, D-VTAGE (values), the zero predictor
+//! and the BTB (branch targets) — share one method shape, each inherent on
+//! its type:
 //!
 //! * `predict` / `train` — the two halves of every prediction loop. The
-//!   lookup key is always a PC plus the [`GlobalHistory`]; families that
-//!   ignore the history (zero predictor, BTB) simply don't read it.
-//!   `predict` takes `&mut self` everywhere (it maintains statistics), so
-//!   the old `predict(&self)` vs `predict(&mut self)` split is gone.
+//!   lookup key is always a PC plus the [`GlobalHistory`](crate::GlobalHistory);
+//!   families that ignore the history (zero predictor, BTB) simply don't
+//!   read it. All five train at commit, which is never speculative, so a
+//!   pipeline squash has nothing to roll back.
 //! * `on_history_update` — TAGE-style predictors maintain folded history
 //!   images that must advance once per pushed branch outcome.
-//! * `on_squash` — a pipeline squash rolls back nothing here (all five
-//!   families train at commit, which is never speculative), but the hook
-//!   is part of the contract so engines can notify the whole stack
-//!   uniformly.
 //! * `storage_bits` — the storage budget argument of the paper (10.1 KB
-//!   distance predictor vs ≈256 KB D-VTAGE) computed from one method per
-//!   family; `rsep run --storage` renders the comparison from these.
-//! * `fingerprint` — the content-addressed identity of the configuration,
-//!   used by the campaign result stores.
-//!
-//! Statistics are unified too: every family reports the same
-//! [`PredictorStats`] (lookups / used predictions / correct / incorrect
-//! trainings) with one [`PredictorStats::merge`], which is what
-//! `SimStats` aggregates across checkpoints.
-
-use crate::history::GlobalHistory;
-use rsep_isa::Fingerprint;
+//!   distance predictor vs ≈256 KB D-VTAGE); `rsep run --storage` renders
+//!   the comparison from the configurations' `storage_bits`.
+//! * `stats` — the same [`PredictorStats`] (lookups / used predictions /
+//!   correct / incorrect trainings) with one [`PredictorStats::merge`],
+//!   which is what `SimStats` aggregates across checkpoints.
 
 /// Outcome statistics shared by every predictor family.
 ///
 /// The per-family structs this replaces (`TageStats`, `DvtageStats`,
 /// `DistancePredictorStats`, `ZeroPredictorStats`) all counted the same
-/// four things under different names; this is the one shape behind the
-/// [`Predictor::stats`] associated type, merged across checkpoints by
-/// `SimStats` with [`PredictorStats::merge`].
+/// four things under different names; this is the one shape every
+/// family's `stats()` returns, merged across checkpoints by `SimStats`
+/// with [`PredictorStats::merge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictorStats {
     /// Prediction lookups performed.
@@ -94,75 +82,6 @@ impl PredictorStats {
             self.incorrect as f64 * 1000.0 / instructions as f64
         }
     }
-}
-
-/// The unified predictor interface (see the module docs).
-pub trait Predictor {
-    /// Configuration type; fingerprintable so campaign cells that embed
-    /// this predictor are content-addressed.
-    type Config: Fingerprint + Clone + std::fmt::Debug;
-    /// What a successful lookup returns.
-    type Prediction;
-    /// What commit-time training consumes (the observed truth).
-    type Outcome;
-    /// Statistics type — [`PredictorStats`] for every in-tree family.
-    type Stats;
-
-    /// Short family name, used to label statistics and storage reports.
-    fn name(&self) -> &'static str;
-
-    /// Looks up a prediction for the instruction at `pc`. `None` means the
-    /// predictor holds nothing for this instruction.
-    fn predict(&mut self, pc: u64, history: &GlobalHistory) -> Option<Self::Prediction>;
-
-    /// Trains the predictor with the observed outcome for `pc`.
-    fn train(&mut self, pc: u64, outcome: Self::Outcome, history: &GlobalHistory);
-
-    /// Advances folded history images after [`GlobalHistory::push`].
-    /// Families that do not fold history ignore it.
-    fn on_history_update(&mut self, _history: &GlobalHistory) {}
-
-    /// Notifies the predictor that instructions with sequence number
-    /// `>= from_seq` were squashed. All in-tree families train at commit
-    /// (never speculatively), so the default is a no-op — but the hook
-    /// keeps the engine's squash broadcast uniform.
-    fn on_squash(&mut self, _from_seq: u64) {}
-
-    /// The configuration in use.
-    fn config(&self) -> &Self::Config;
-
-    /// Statistics collected so far.
-    fn stats(&self) -> Self::Stats;
-
-    /// Total storage cost in bits (the paper's comparison metric).
-    fn storage_bits(&self) -> u64;
-
-    /// Content-addressed identity of the configuration.
-    fn fingerprint(&self) -> u64 {
-        self.config().fingerprint_value()
-    }
-}
-
-/// Branch-direction predictors (TAGE).
-pub trait BranchPredictor: Predictor {
-    /// Convenience: the predicted direction alone.
-    fn predict_taken(&mut self, pc: u64, history: &GlobalHistory) -> bool;
-}
-
-/// Confidence-gated predictors whose prediction is only *used* once a
-/// probabilistic confidence counter saturates (D-VTAGE, the zero
-/// predictor) — the >99.5%-accuracy regime of Section VI-B.
-pub trait ValuePredictor<P>: Predictor<Prediction = P> {
-    /// Returns `true` when the prediction is confident enough to act on.
-    fn usable(prediction: &P) -> bool;
-}
-
-/// Instruction-distance predictors (the RSEP predictor of Section IV-C):
-/// predictions are distances back to an in-flight provider, clamped to the
-/// representable range.
-pub trait IDistPredictor: Predictor {
-    /// Largest representable distance (ROB-bounded).
-    fn max_distance(&self) -> u32;
 }
 
 #[cfg(test)]

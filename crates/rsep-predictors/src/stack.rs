@@ -68,7 +68,7 @@
 
 use crate::btb::{Btb, ReturnAddressStack};
 use crate::history::GlobalHistory;
-use crate::predictor::{Predictor, PredictorStats};
+use crate::predictor::PredictorStats;
 use crate::tage::Tage;
 use rsep_isa::{BranchInfo, BranchKind};
 

@@ -10,7 +10,7 @@
 //! components (entry `idx` of component `comp` lives at
 //! `comp << tagged_log2 | idx`): the partial tag in the low 16 bits, the
 //! 3-bit signed counter (biased by +4) and the 2-bit useful counter above
-//! it. The provider walk of [`Predictor::predict`] touches one random
+//! it. The provider walk of [`Tage::predict`] touches one random
 //! entry per component, so a single packed word per entry — one cache
 //! line touch — beats both the retired `Vec<Vec<Entry>>` layout and a
 //! split tag-array/metadata-array layout (measured by the
@@ -18,7 +18,7 @@
 
 use crate::counters::Lfsr;
 use crate::history::{FoldStateSoa, GlobalHistory, MAX_HISTORY_BITS};
-use crate::predictor::{BranchPredictor, Predictor, PredictorStats};
+use crate::predictor::PredictorStats;
 
 /// Configuration of a TAGE branch predictor.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,8 +306,8 @@ impl Tage {
 
     /// Computes the flat entry index and partial tag of every tagged
     /// component for the conditional branch the block's working fold copy
-    /// currently sits at — exactly the values [`Predictor::predict`] and
-    /// [`Predictor::train`] would derive after the preceding outcomes
+    /// currently sits at — exactly the values [`Tage::predict`] and
+    /// [`Tage::train`] would derive after the preceding outcomes
     /// entered the history (`train` recomputes `predict`'s indices, so one
     /// gathered set serves both). Per-branch fold values are plain row
     /// reads of the working copy stepped by [`Tage::advance_block`];
@@ -338,7 +338,7 @@ impl Tage {
     }
 
     /// Commits a resolved block prefix into the fold state — bit-identical
-    /// to one [`Predictor::on_history_update`] per resolved branch, with
+    /// to one [`Tage::on_history_update`] per resolved branch, with
     /// nothing to roll back since the block never touched the fold state.
     /// A fully resolved block adopts the working copy outright (it was
     /// stepped past every branch); a mispredict-truncated prefix is
@@ -381,7 +381,7 @@ impl Tage {
         }
     }
 
-    /// [`Predictor::predict`] against pre-read entry words and gathered
+    /// [`Tage::predict`] against pre-read entry words and gathered
     /// tags (each [`Tage::num_tagged`] long for this branch). Bit-identical
     /// to `predict` when `entries[comp]` equals the live table word at the
     /// gathered index — the block driver guarantees that by patching
@@ -411,7 +411,7 @@ impl Tage {
         TagePrediction { taken: provider_taken, provider, alt_taken: alt.unwrap_or(base_taken) }
     }
 
-    /// [`Predictor::train`] against gathered indices and tags (each
+    /// [`Tage::train`] against gathered indices and tags (each
     /// [`Tage::num_tagged`] long, as written by [`Tage::gather_block_probes_at`]
     /// for this branch — `train` recomputes the very same values, so no
     /// history is needed here). The provider counter/useful update is
@@ -491,24 +491,16 @@ impl Tage {
             }
         }
     }
-}
 
-impl Predictor for Tage {
-    type Config = TageConfig;
-    type Prediction = TagePrediction;
-    /// The observed direction plus the prediction being trained against
-    /// (TAGE's update policy depends on provider/alternate agreement).
-    type Outcome = (bool, TagePrediction);
-    type Stats = PredictorStats;
-
-    fn name(&self) -> &'static str {
+    /// Short family name, used to label statistics and storage reports.
+    pub fn name(&self) -> &'static str {
         "tage"
     }
 
     /// Predicts the direction of the conditional branch at `pc`. TAGE
     /// always answers (the bimodal base backs every lookup), so this is
     /// never `None`.
-    fn predict(&mut self, pc: u64, history: &GlobalHistory) -> Option<TagePrediction> {
+    pub fn predict(&mut self, pc: u64, history: &GlobalHistory) -> Option<TagePrediction> {
         self.stats.lookups += 1;
         let base_taken = self.base[self.base_index(pc)] >= 0;
         let mut provider = None;
@@ -539,10 +531,10 @@ impl Predictor for Tage {
 
     /// Updates the predictor with the actual outcome of the branch at `pc`.
     ///
-    /// The outcome carries the value returned by [`Predictor::predict`] for
+    /// The outcome carries the value returned by [`Tage::predict`] for
     /// this dynamic branch; `history` is the global history *at prediction
     /// time* (i.e. before pushing this branch's outcome).
-    fn train(
+    pub fn train(
         &mut self,
         pc: u64,
         (taken, prediction): (bool, TagePrediction),
@@ -612,26 +604,18 @@ impl Predictor for Tage {
     /// Advances the folded histories after a branch outcome has been pushed
     /// into the global history. Must be called once per outcome, after
     /// [`GlobalHistory::push`].
-    fn on_history_update(&mut self, history: &GlobalHistory) {
+    pub fn on_history_update(&mut self, history: &GlobalHistory) {
         self.folds.advance(history);
     }
 
-    fn config(&self) -> &TageConfig {
-        &self.config
-    }
-
-    fn stats(&self) -> PredictorStats {
+    /// Statistics collected so far.
+    pub fn stats(&self) -> PredictorStats {
         self.stats
     }
 
-    fn storage_bits(&self) -> u64 {
+    /// Total storage cost in bits (the paper's comparison metric).
+    pub fn storage_bits(&self) -> u64 {
         self.config.storage_bits()
-    }
-}
-
-impl BranchPredictor for Tage {
-    fn predict_taken(&mut self, pc: u64, history: &GlobalHistory) -> bool {
-        self.predict(pc, history).expect("TAGE always answers").taken
     }
 }
 
@@ -747,15 +731,12 @@ mod tests {
 
     #[test]
     fn predictor_trait_surface() {
-        use rsep_isa::Fingerprint as _;
+        // The surface is inherent now; the name predates the trait's removal.
         let mut tage = Tage::table1();
         assert_eq!(tage.name(), "tage");
         assert_eq!(tage.storage_bits(), TageConfig::table1().storage_bits());
-        assert_eq!(Predictor::fingerprint(&tage), TageConfig::table1().fingerprint_value());
         let hist = GlobalHistory::new();
-        let taken = tage.predict_taken(0x4000, &hist);
-        let pred = tage.predict(0x4000, &hist).unwrap();
-        assert_eq!(pred.taken, taken);
+        assert!(tage.predict(0x4000, &hist).is_some(), "TAGE always answers");
     }
 
     #[test]

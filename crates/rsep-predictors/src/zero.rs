@@ -12,7 +12,7 @@
 
 use crate::counters::{ConfidenceParams, Lfsr};
 use crate::history::GlobalHistory;
-use crate::predictor::{Predictor, PredictorStats, ValuePredictor};
+use crate::predictor::PredictorStats;
 
 /// Configuration of the zero predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,23 +95,16 @@ impl ZeroPredictor {
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) & ((1 << self.config.entries_log2) - 1)
     }
-}
 
-impl Predictor for ZeroPredictor {
-    type Config = ZeroPredictorConfig;
-    type Prediction = ZeroPrediction;
-    /// Whether the committed result really was zero.
-    type Outcome = bool;
-    type Stats = PredictorStats;
-
-    fn name(&self) -> &'static str {
+    /// Short family name, used to label statistics and storage reports.
+    pub fn name(&self) -> &'static str {
         "zero"
     }
 
     /// Returns `Some` iff the instruction at `pc` should be predicted to
     /// produce zero (the entry's counter is saturated). The global history
     /// is unused: the table is PC-indexed.
-    fn predict(&mut self, pc: u64, _history: &GlobalHistory) -> Option<ZeroPrediction> {
+    pub fn predict(&mut self, pc: u64, _history: &GlobalHistory) -> Option<ZeroPrediction> {
         self.stats.lookups += 1;
         let value = self.table[self.index(pc)];
         if self.conf.is_saturated(value) {
@@ -124,7 +117,7 @@ impl Predictor for ZeroPredictor {
 
     /// Trains the predictor with the committed result of the instruction at
     /// `pc`.
-    fn train(&mut self, pc: u64, result_was_zero: bool, _history: &GlobalHistory) {
+    pub fn train(&mut self, pc: u64, result_was_zero: bool, _history: &GlobalHistory) {
         let idx = self.index(pc);
         if result_was_zero {
             self.stats.correct += 1;
@@ -135,24 +128,14 @@ impl Predictor for ZeroPredictor {
         }
     }
 
-    fn config(&self) -> &ZeroPredictorConfig {
-        &self.config
-    }
-
-    fn stats(&self) -> PredictorStats {
+    /// Statistics collected so far.
+    pub fn stats(&self) -> PredictorStats {
         self.stats
     }
 
-    fn storage_bits(&self) -> u64 {
+    /// Total storage cost in bits (the paper's comparison metric).
+    pub fn storage_bits(&self) -> u64 {
         self.config.storage_bits()
-    }
-}
-
-impl ValuePredictor<ZeroPrediction> for ZeroPredictor {
-    /// A zero prediction is only ever returned at saturation, so every
-    /// returned prediction is usable.
-    fn usable(_prediction: &ZeroPrediction) -> bool {
-        true
     }
 }
 

@@ -25,7 +25,7 @@
 use proptest::collection;
 use proptest::prelude::*;
 use rsep_isa::{BranchInfo, BranchKind};
-use rsep_predictors::{GlobalHistory, PredictRequest, Predictor, PredictorStack, Tage, TageConfig};
+use rsep_predictors::{GlobalHistory, PredictRequest, PredictorStack, Tage, TageConfig};
 
 /// A small TAGE geometry (as in `proptest_predictors.rs`) so tag aliasing
 /// and allocation churn happen within a few blocks.

@@ -20,7 +20,7 @@ use proptest::collection;
 use proptest::prelude::*;
 use rsep_predictors::{
     Btb, DistancePredictor, DistancePredictorConfig, Dvtage, DvtageConfig, FoldedHistory,
-    GlobalHistory, Lfsr, Predictor, ProbabilisticCounter, Tage, TageConfig, ZeroPredictor,
+    GlobalHistory, Lfsr, ProbabilisticCounter, Tage, TageConfig, ZeroPredictor,
     ZeroPredictorConfig,
 };
 
@@ -222,9 +222,8 @@ proptest! {
                     new.on_history_update(&hist);
                     reference.on_history_update(&hist);
                 }
-                // Squash: a no-op for commit-trained predictors, but the
-                // hook must really not disturb any state.
-                _ => new.on_squash(pc_sel),
+                // Squash: commit-trained predictors have nothing to undo.
+                _ => {}
             }
         }
     }
@@ -455,7 +454,7 @@ proptest! {
                     new.on_history_update(&hist);
                     reference.on_history_update(&hist);
                 }
-                _ => new.on_squash(u64::from(observed)),
+                _ => {}
             }
         }
     }
@@ -699,7 +698,7 @@ proptest! {
                     new.on_history_update(&hist);
                     reference.on_history_update(&hist);
                 }
-                _ => new.on_squash(value_sel),
+                _ => {}
             }
         }
     }

@@ -1,17 +1,15 @@
-//! Checkpointed trace execution.
+//! Checkpoint sampling.
 //!
 //! The paper's methodology (Section V) simulates ten uniformly-spaced
 //! checkpoints per benchmark; each checkpoint warms the processor structures
 //! for 50M instructions and then collects statistics over 100M instructions,
 //! and the per-benchmark IPC is the harmonic mean over the ten checkpoints.
 //!
-//! [`CheckpointSpec`] captures those three numbers (scaled down by the
-//! experiment harness so a full campaign stays laptop-sized), and
-//! [`CheckpointedTrace`] slices a [`TraceGenerator`] accordingly.
-
-use crate::generator::TraceGenerator;
-use crate::profile::BenchmarkProfile;
-use rsep_isa::DynInst;
+//! [`CheckpointSpec`] captures those three numbers, scaled down so a full
+//! campaign stays laptop-sized. Each checkpoint runs its own sub-seeded
+//! [`TraceGenerator`](crate::TraceGenerator) stream (`rsep-core`'s
+//! `checkpoint_seed`), modelling the uniform spacing as distinct program
+//! regions.
 
 /// Checkpoint sampling specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +20,9 @@ pub struct CheckpointSpec {
     pub warmup: u64,
     /// Instructions measured per checkpoint.
     pub measure: u64,
-    /// Instructions skipped between checkpoints (models the uniform spacing
-    /// of the paper's checkpoints over the full run).
+    /// Instructions between checkpoints. Always 0: each checkpoint is its
+    /// own sub-seeded stream, so nothing is skipped. Kept because cell keys
+    /// and the pinned fingerprints hash it.
     pub spacing: u64,
 }
 
@@ -41,21 +40,9 @@ impl CheckpointSpec {
         CheckpointSpec { count: count.max(1), warmup, measure, spacing: 0 }
     }
 
-    /// Default scale used by the experiment harness when no override is
-    /// given: 3 checkpoints × (5K warm-up + 30K measured).
-    pub fn default_scale() -> CheckpointSpec {
-        CheckpointSpec::scaled(3, 5_000, 30_000)
-    }
-
     /// Total number of instructions a full checkpointed run generates.
     pub fn total_instructions(&self) -> u64 {
         self.count as u64 * (self.warmup + self.measure + self.spacing)
-    }
-}
-
-impl Default for CheckpointSpec {
-    fn default() -> Self {
-        CheckpointSpec::default_scale()
     }
 }
 
@@ -67,58 +54,6 @@ impl rsep_isa::Fingerprint for CheckpointSpec {
         warmup.fingerprint(h);
         measure.fingerprint(h);
         spacing.fingerprint(h);
-    }
-}
-
-/// One measured checkpoint: the warm-up stream and the measured stream.
-#[derive(Debug)]
-// lint: exempt(dead-pub-api, element type of CheckpointedTrace's pub checkpoints; reached through it)
-pub struct Checkpoint {
-    /// Checkpoint index (0-based).
-    pub index: usize,
-    /// Instructions to run for warm-up (statistics should be discarded).
-    pub warmup: Vec<DynInst>,
-    /// Instructions to measure.
-    pub measured: Vec<DynInst>,
-}
-
-/// Iterator over the checkpoints of one benchmark run.
-#[derive(Debug)]
-pub struct CheckpointedTrace {
-    generator: TraceGenerator,
-    spec: CheckpointSpec,
-    next_index: usize,
-}
-
-impl CheckpointedTrace {
-    /// Creates a checkpointed trace for a profile.
-    pub fn new(profile: &BenchmarkProfile, seed: u64, spec: CheckpointSpec) -> CheckpointedTrace {
-        CheckpointedTrace { generator: TraceGenerator::new(profile, seed), spec, next_index: 0 }
-    }
-
-    /// The checkpoint specification in use.
-    pub fn spec(&self) -> CheckpointSpec {
-        self.spec
-    }
-}
-
-impl Iterator for CheckpointedTrace {
-    type Item = Checkpoint;
-
-    fn next(&mut self) -> Option<Checkpoint> {
-        if self.next_index >= self.spec.count {
-            return None;
-        }
-        let index = self.next_index;
-        self.next_index += 1;
-        if self.spec.spacing > 0 {
-            self.generator.skip_instructions(self.spec.spacing);
-        }
-        let warmup: Vec<DynInst> =
-            self.generator.by_ref().take(self.spec.warmup as usize).collect();
-        let measured: Vec<DynInst> =
-            self.generator.by_ref().take(self.spec.measure as usize).collect();
-        Some(Checkpoint { index, warmup, measured })
     }
 }
 
@@ -136,40 +71,15 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_have_requested_sizes() {
+        let spec = CheckpointSpec::scaled(3, 500, 1_500);
+        assert_eq!((spec.count, spec.warmup, spec.measure, spec.spacing), (3, 500, 1_500, 0));
+        assert_eq!(spec.total_instructions(), 3 * 2_000);
+    }
+
+    #[test]
     fn scaled_spec_clamps_count() {
         let spec = CheckpointSpec::scaled(0, 10, 20);
         assert_eq!(spec.count, 1);
-    }
-
-    #[test]
-    fn checkpoints_have_requested_sizes() {
-        let profile = BenchmarkProfile::by_name("gcc").unwrap();
-        let spec = CheckpointSpec::scaled(3, 500, 1_500);
-        let checkpoints: Vec<_> = CheckpointedTrace::new(&profile, 9, spec).collect();
-        assert_eq!(checkpoints.len(), 3);
-        for (i, cp) in checkpoints.iter().enumerate() {
-            assert_eq!(cp.index, i);
-            assert_eq!(cp.warmup.len(), 500);
-            assert_eq!(cp.measured.len(), 1_500);
-        }
-    }
-
-    #[test]
-    fn checkpoints_are_contiguous_in_sequence_numbers() {
-        let profile = BenchmarkProfile::by_name("gcc").unwrap();
-        let spec = CheckpointSpec::scaled(2, 100, 200);
-        let checkpoints: Vec<_> = CheckpointedTrace::new(&profile, 9, spec).collect();
-        let first_measured = checkpoints[0].measured.first().unwrap().seq;
-        let last_warm = checkpoints[0].warmup.last().unwrap().seq;
-        assert_eq!(first_measured, last_warm + 1);
-        let second_start = checkpoints[1].warmup.first().unwrap().seq;
-        let first_end = checkpoints[0].measured.last().unwrap().seq;
-        assert_eq!(second_start, first_end + 1);
-    }
-
-    #[test]
-    fn default_spec_is_small_enough_for_tests() {
-        let spec = CheckpointSpec::default();
-        assert!(spec.total_instructions() < 1_000_000);
     }
 }

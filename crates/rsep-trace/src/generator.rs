@@ -16,14 +16,10 @@ use rsep_isa::{BranchInfo, DynInst, MemInfo, OpClass, MAX_SOURCES};
 ///
 /// The generator is deterministic for a given `(profile, seed)` pair and is
 /// `Iterator<Item = DynInst>`; it never terminates on its own, so callers
-/// bound it with [`Iterator::take`] or drive it through
-/// [`CheckpointedTrace`](crate::CheckpointedTrace).
+/// bound it with [`Iterator::take`].
 #[derive(Debug)]
 pub struct TraceGenerator {
     program: StaticProgram,
-    /// Profile the program was synthesised from ("program" when built
-    /// over a caller-supplied [`StaticProgram`]).
-    profile_name: &'static str,
     rng: SmallRng,
     /// Per-static-instruction behaviour state.
     value_states: Vec<ValueState>,
@@ -41,10 +37,7 @@ pub struct TraceGenerator {
 impl TraceGenerator {
     /// Creates a generator for the given profile and seed.
     pub fn new(profile: &BenchmarkProfile, seed: u64) -> TraceGenerator {
-        let program = StaticProgram::synthesize(profile, seed);
-        let mut generator = TraceGenerator::from_program(program, seed);
-        generator.profile_name = profile.name;
-        generator
+        TraceGenerator::from_program(StaticProgram::synthesize(profile, seed), seed)
     }
 
     /// Creates a generator over an already-synthesised program.
@@ -52,7 +45,6 @@ impl TraceGenerator {
         let n = program.len();
         TraceGenerator {
             program,
-            profile_name: "program",
             rng: SmallRng::seed_from_u64(seed ^ 0x7ace_0002),
             value_states: vec![ValueState::default(); n],
             branch_states: vec![BranchState::default(); n],
@@ -67,25 +59,6 @@ impl TraceGenerator {
     /// The underlying static program.
     pub fn program(&self) -> &StaticProgram {
         &self.program
-    }
-
-    /// Name of the profile the program was synthesised from ("program"
-    /// when built over a caller-supplied [`StaticProgram`]).
-    pub fn profile_name(&self) -> &'static str {
-        self.profile_name
-    }
-
-    /// Number of dynamic instructions generated so far.
-    pub fn generated(&self) -> u64 {
-        self.seq
-    }
-
-    /// Skips `n` instructions (used to implement checkpoint warm-up
-    /// separation without keeping the skipped instructions around).
-    pub fn skip_instructions(&mut self, n: u64) {
-        for _ in 0..n {
-            let _ = self.next();
-        }
     }
 
     /// Builds the dynamic instance of the static instruction at `index` in
@@ -212,15 +185,6 @@ mod tests {
         for (i, inst) in trace.iter().enumerate() {
             assert_eq!(inst.seq, i as u64);
         }
-    }
-
-    #[test]
-    fn skip_advances_sequence_numbers() {
-        let p = BenchmarkProfile::by_name("gcc").unwrap();
-        let mut gen = TraceGenerator::new(&p, 5);
-        gen.skip_instructions(1_000);
-        assert_eq!(gen.generated(), 1_000);
-        assert_eq!(gen.next().unwrap().seq, 1_000);
     }
 
     #[test]

@@ -51,11 +51,9 @@ pub mod checkpoint;
 pub mod generator;
 pub mod profile;
 pub mod program;
-pub mod source;
 
 pub use behavior::{BranchBehavior, MemBehavior, ValueBehavior};
-pub use checkpoint::{CheckpointSpec, CheckpointedTrace};
+pub use checkpoint::CheckpointSpec;
 pub use generator::TraceGenerator;
 pub use profile::{BenchmarkProfile, InstructionMix};
 pub use program::{StaticInst, StaticProgram};
-pub use source::TraceSource;

@@ -13,10 +13,10 @@
 //!   segment table, checksum trailer, forward-compat policy, keyed
 //!   address anonymisation.
 //! - [`writer`] / [`reader`] — streaming [`TraceWriter`] and validated
-//!   [`TraceFile`] with per-segment [`SegmentSource`] iterators that
-//!   implement [`TraceSource`](rsep_trace::TraceSource). A `TraceFile`
-//!   keeps no payload in memory: sources read their segment from the
-//!   file in digest-checked 64 KiB blocks.
+//!   [`TraceFile`] with per-segment [`SegmentSource`] iterators that the
+//!   core drives like a live generator. A `TraceFile` keeps no payload in
+//!   memory: sources read their segment from the file in digest-checked
+//!   64 KiB blocks.
 //! - [`record`] — the one shared recipe turning a benchmark profile into
 //!   a recorded file with the live runner's seed derivation.
 //! - [`analyze`](mod@analyze) — behaviour-distribution reports (op mix, branch rates,

@@ -1,5 +1,5 @@
-//! Trace-file reader: validated open, per-segment streaming
-//! [`TraceSource`]s.
+//! Trace-file reader: validated open, per-segment streaming instruction
+//! sources.
 //!
 //! A [`TraceFile`] holds the header, the segment table, the open file (or
 //! the bytes handed to [`TraceFile::parse`]) and one 8-byte digest per
@@ -10,8 +10,8 @@
 //! foreign files are rejected before any record is decoded.
 //!
 //! [`TraceFile::segment`] then yields a [`SegmentSource`]: a decoding
-//! iterator over one checkpoint's records implementing [`TraceSource`],
-//! so the simulator drives it exactly like a live generator. It reads its
+//! iterator over one checkpoint's records, so the simulator drives it
+//! exactly like a live generator. It reads its
 //! segment a block at a time with positional reads, so sources over one
 //! file share no cursor and may run on different threads. Each block is
 //! checked against its digest before a record is decoded from it: every
@@ -25,7 +25,6 @@ use std::path::Path;
 
 use rsep_isa::codec::{decode_inst, CodecState, MAX_RECORD_BYTES};
 use rsep_isa::DynInst;
-use rsep_trace::TraceSource;
 
 use crate::format::{
     decode_header, decode_segment_table, decode_trailer, fnv1a, SegmentMeta, TraceError,
@@ -256,7 +255,7 @@ fn block_digest(bytes: &[u8]) -> u64 {
 }
 
 /// One checkpoint segment decoded on the fly — the file-backed
-/// [`TraceSource`].
+/// counterpart of a live `TraceGenerator`.
 ///
 /// The segment is read one [`BLOCK_BYTES`] block at a time into a buffer
 /// that also carries the undecoded tail of the previous block, so a
@@ -283,6 +282,17 @@ pub struct SegmentSource<'a> {
 }
 
 impl SegmentSource<'_> {
+    /// Where the stream comes from (`file:<path>#<segment>`), for error
+    /// messages.
+    pub fn origin(&self) -> String {
+        self.origin.clone()
+    }
+
+    /// Number of instructions left in the segment.
+    pub fn remaining(&self) -> u64 {
+        self.remaining
+    }
+
     /// The error that ended the stream early, if any.
     pub fn error(&self) -> Option<&TraceError> {
         self.error.as_ref()
@@ -352,16 +362,6 @@ impl Iterator for SegmentSource<'_> {
                 None
             }
         }
-    }
-}
-
-impl TraceSource for SegmentSource<'_> {
-    fn origin(&self) -> String {
-        self.origin.clone()
-    }
-
-    fn remaining(&self) -> Option<u64> {
-        Some(self.remaining)
     }
 }
 

@@ -11,7 +11,6 @@ use std::io::Write;
 
 use rsep_isa::codec::{encode_inst, CodecState};
 use rsep_isa::DynInst;
-use rsep_trace::TraceSource;
 
 use crate::format::{
     anon_offset, encode_footer, encode_header, fnv1a, AnonScheme, SegmentMeta, TraceError,
@@ -93,7 +92,7 @@ impl<W: Write> TraceWriter<W> {
     /// dry first).
     pub fn record_from(
         &mut self,
-        source: &mut impl TraceSource,
+        mut source: impl Iterator<Item = DynInst>,
         count: u64,
     ) -> Result<u64, TraceError> {
         for written in 0..count {

@@ -216,7 +216,7 @@ fn interleaved_sources_over_one_file_decode_independently() {
     let expected = [&segments[0], &segments[1], &segments[0]];
     let mut decoded: [Vec<DynInst>; 3] = Default::default();
     let mut turn = 0usize;
-    while sources.iter().any(|s| rsep_trace::TraceSource::remaining(s) != Some(0)) {
+    while sources.iter().any(|s| s.remaining() != 0) {
         let which = turn % 3;
         decoded[which].extend(sources[which].by_ref().take(97 + 311 * which));
         turn += 1;

@@ -177,15 +177,6 @@ impl SimStats {
         }
     }
 
-    /// Fraction of committed instructions covered by any mechanism.
-    pub fn coverage_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.coverage.total_covered() as f64 / self.committed as f64
-        }
-    }
-
     /// Fraction of *eligible* instructions covered by speculative
     /// prediction (the 28.5% average coverage metric of Section VI-B).
     pub fn eligible_coverage_fraction(&self) -> f64 {
@@ -300,7 +291,6 @@ mod tests {
         let stats = SimStats::default();
         assert_eq!(stats.ipc(), 0.0);
         assert_eq!(stats.branch_mpki(), 0.0);
-        assert_eq!(stats.coverage_fraction(), 0.0);
         assert_eq!(stats.eligible_coverage_fraction(), 0.0);
         assert_eq!(stats.prediction_accuracy(), 1.0);
         assert_eq!(stats.avg_rob_occupancy(), 0.0);
