@@ -25,8 +25,7 @@ use crate::isrb::Isrb;
 use rsep_isa::{DynInst, OpClass, PhysReg};
 use rsep_predictors::{DistancePredictor, Dvtage, GlobalHistory, PredictorStats, ZeroPredictor};
 use rsep_uarch::{Disposition, RenameAction, RenameContext, SpecEngine};
-#[expect(clippy::disallowed_types, reason = "keyed lookup only; the map is never iterated")]
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Counters describing the engine's own activity (in addition to the
 /// core's [`rsep_uarch::SimStats`]).
@@ -48,6 +47,43 @@ pub struct EngineStats {
     pub zero_predictions_used: u64,
 }
 
+/// Predicted distances propagated from Rename to Commit (Section VI-B
+/// counts 224 B for this FIFO), as `(seq, distance)` in sequence order.
+/// Rename runs in program order, so pushes arrive in order; commit takes
+/// from the front and a squash truncates the back.
+#[derive(Debug, Default)]
+struct PendingDistances(VecDeque<(u64, u32)>);
+
+impl PendingDistances {
+    /// Records the distance predicted for the instruction renamed as
+    /// `seq`, younger than every entry.
+    fn push(&mut self, seq: u64, distance: u32) {
+        debug_assert!(self.0.back().is_none_or(|&(s, _)| s < seq), "rename is in order");
+        self.0.push_back((seq, distance));
+    }
+
+    /// Removes and returns the distance of the committing instruction
+    /// `seq`. Commit is in order, so entries older than `seq` can never be
+    /// asked for again: they go too.
+    fn take(&mut self, seq: u64) -> Option<u32> {
+        while let Some(&(front, distance)) = self.0.front() {
+            if front > seq {
+                break;
+            }
+            self.0.pop_front();
+            if front == seq {
+                return Some(distance);
+            }
+        }
+        None
+    }
+
+    /// Drops the entries of instructions squashed from `from_seq` on.
+    fn squash(&mut self, from_seq: u64) {
+        self.0.truncate(self.0.partition_point(|&(seq, _)| seq < from_seq));
+    }
+}
+
 /// The composed speculation engine.
 #[derive(Debug)]
 pub struct RsepEngine {
@@ -58,10 +94,7 @@ pub struct RsepEngine {
     isrb: Option<Isrb>,
     dvtage: Option<Dvtage>,
     zero: Option<ZeroPredictor>,
-    /// Predicted distances propagated from Rename to Commit (Section VI-B
-    /// counts 224 B for this FIFO).
-    #[expect(clippy::disallowed_types, reason = "keyed by sequence number and never iterated")]
-    pending_distances: HashMap<u64, u32>,
+    pending_distances: PendingDistances,
     stats: EngineStats,
 }
 
@@ -81,11 +114,7 @@ impl RsepEngine {
             isrb,
             dvtage,
             zero,
-            #[expect(
-                clippy::disallowed_types,
-                reason = "keyed by sequence number and never iterated"
-            )]
-            pending_distances: HashMap::new(),
+            pending_distances: PendingDistances::default(),
             stats: EngineStats::default(),
         }
     }
@@ -137,7 +166,7 @@ impl RsepEngine {
         // through the validation path).
         let start_train = rsep.sampling.map(|s| s.start_train_raw).unwrap_or(0);
         if prediction.usable() || prediction.likely_candidate(start_train) {
-            self.pending_distances.insert(inst.seq, prediction.distance);
+            self.pending_distances.push(inst.seq, prediction.distance);
         }
         if !prediction.usable() || prediction.distance == 0 {
             return None;
@@ -178,7 +207,7 @@ impl RsepEngine {
         let (Some(fifo), Some(predictor)) = (self.fifo.as_mut(), self.distance.as_mut()) else {
             return;
         };
-        let predicted = self.pending_distances.remove(&inst.seq);
+        let predicted = self.pending_distances.take(inst.seq);
         let mut search_allowed = true;
         if rsep.sampling.is_some() {
             let is_candidate = predicted.is_some();
@@ -270,7 +299,7 @@ impl SpecEngine for RsepEngine {
             }
         }
         if !inst.eligible_for_prediction() {
-            self.pending_distances.remove(&inst.seq);
+            self.pending_distances.take(inst.seq);
             return;
         }
         // Commit-time training of every enabled predictor.
@@ -283,7 +312,7 @@ impl SpecEngine for RsepEngine {
         if self.config.rsep.is_some() {
             self.train_rsep(inst, clock);
         } else {
-            self.pending_distances.remove(&inst.seq);
+            self.pending_distances.take(inst.seq);
         }
     }
 
@@ -295,7 +324,7 @@ impl SpecEngine for RsepEngine {
     }
 
     fn on_squash(&mut self, from_seq: u64) -> Vec<PhysReg> {
-        self.pending_distances.retain(|&seq, _| seq < from_seq);
+        self.pending_distances.squash(from_seq);
         // The predictors train at commit only, so a squash leaves them be.
         if let Some(isrb) = self.isrb.as_mut() {
             isrb.on_squash(from_seq);
@@ -322,6 +351,7 @@ impl SpecEngine for RsepEngine {
 mod tests {
     use super::*;
     use crate::config::MechanismConfig;
+    use proptest::prelude::*;
     use rsep_isa::ArchReg;
     use rsep_uarch::Rob;
 
@@ -462,11 +492,56 @@ mod tests {
     #[test]
     fn squash_clears_pending_distances() {
         let mut engine = RsepEngine::new(MechanismConfig::rsep_ideal());
-        engine.pending_distances.insert(10, 3);
-        engine.pending_distances.insert(20, 5);
+        engine.pending_distances.push(10, 3);
+        engine.pending_distances.push(20, 5);
         let freed = engine.on_squash(15);
         assert!(freed.is_empty());
-        assert!(engine.pending_distances.contains_key(&10));
-        assert!(!engine.pending_distances.contains_key(&20));
+        assert_eq!(engine.pending_distances.0, [(10, 3)]);
+        assert_eq!(engine.pending_distances.take(10), Some(3));
+        assert_eq!(engine.pending_distances.take(20), None);
+    }
+
+    proptest! {
+        /// The in-order ring answers every commit as the keyed map it
+        /// replaced (insert at rename, remove at commit, `retain` at
+        /// squash) on random rename/commit/squash streams.
+        #[test]
+        fn pending_distances_match_the_map_model(
+            ops in proptest::collection::vec((0u8..8, 0u32..64, 0u64..16), 1..300),
+        ) {
+            let mut ring = PendingDistances::default();
+            let mut model = std::collections::BTreeMap::new();
+            // In flight: sequence numbers `committed..renamed`.
+            let (mut committed, mut renamed) = (0u64, 0u64);
+            for (kind, distance, offset) in ops {
+                match kind {
+                    // Rename the next instruction; a third carry no
+                    // distance.
+                    0..=3 => {
+                        if distance % 3 != 0 {
+                            ring.push(renamed, distance);
+                            model.insert(renamed, distance);
+                        }
+                        renamed += 1;
+                    }
+                    // Commit the oldest in-flight instruction.
+                    4..=6 => {
+                        if committed < renamed {
+                            prop_assert_eq!(ring.take(committed), model.remove(&committed));
+                            committed += 1;
+                        }
+                    }
+                    // Squash from a point inside the window, or at its end.
+                    _ => {
+                        let from = committed + offset % (renamed - committed + 1);
+                        ring.squash(from);
+                        model.retain(|&seq, _| seq < from);
+                        renamed = from;
+                    }
+                }
+                let live: Vec<(u64, u32)> = model.iter().map(|(&s, &d)| (s, d)).collect();
+                prop_assert_eq!(ring.0.iter().copied().collect::<Vec<_>>(), live);
+            }
+        }
     }
 }

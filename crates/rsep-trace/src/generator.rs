@@ -56,11 +56,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The underlying static program.
-    pub fn program(&self) -> &StaticProgram {
-        &self.program
-    }
-
     /// Builds the dynamic instance of the static instruction at `index` in
     /// place. The RNG is drawn in a fixed order — copy-source pick, result
     /// value, address, store value, branch outcome — which is part of the

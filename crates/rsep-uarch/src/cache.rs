@@ -11,8 +11,9 @@
 //! Cache arrays are struct-of-arrays: one flat tag array and one packed
 //! `valid|LRU` word array per level, indexed `set * assoc + way`. An
 //! invalid way holds a sentinel tag that no address produces, so a hit
-//! test reads only the tag array. A demand miss picks its LRU victim from
-//! the metadata words once and hands it to the fill that follows, so the
+//! test reads only the tag array. One pass over a set reads its tags and
+//! metadata words together and returns either the hit way or the LRU
+//! victim; a demand miss hands that victim to the fill that follows, so the
 //! set is not scanned again. (The original `Vec<Vec<Line>>` layout was
 //! retained for one PR as `CacheLayout::Nested` and retired after the PR 4
 //! equivalence proofs.)
@@ -138,23 +139,23 @@ impl Cache {
         ((line & self.set_mask) as usize * self.assoc, line >> self.tag_shift)
     }
 
-    /// Flat index of the way holding `tag` in the set at `base`.
-    fn find(&self, base: usize, tag: u64) -> Option<usize> {
-        self.tags[base..base + self.assoc].iter().position(|&t| t == tag).map(|w| base + w)
-    }
-
-    /// The way a fill of `tag` into the set at `base` takes: the one with
-    /// the smallest packed word. Every invalid way (no VALID bit) sorts
-    /// below every valid one, among valid ways the smallest LRU stamp
-    /// wins, and ties keep the first way.
-    fn victim(&self, base: usize, tag: u64) -> Victim {
+    /// One pass over the set at `base`: the flat index of the way holding
+    /// `tag`, or else the way a fill of `tag` takes. The victim is the way
+    /// with the smallest packed word: every invalid way (no VALID bit)
+    /// sorts below every valid one, among valid ways the smallest LRU
+    /// stamp wins, and ties keep the first way.
+    fn lookup(&self, base: usize, tag: u64) -> Result<usize, Victim> {
+        let ways = &self.tags[base..base + self.assoc];
         let meta = &self.meta[base..base + self.assoc];
         let (mut way, mut oldest) = (0, meta[0]);
-        for (w, &word) in meta.iter().enumerate().skip(1) {
+        for (w, (&t, &word)) in ways.iter().zip(meta).enumerate() {
+            if t == tag {
+                return Ok(base + w);
+            }
             way = if word < oldest { w } else { way };
             oldest = oldest.min(word);
         }
-        Victim { index: base + way, tag }
+        Err(Victim { index: base + way, tag })
     }
 
     /// Demand lookup of `addr`: a hit refreshes the line's LRU stamp and
@@ -163,14 +164,14 @@ impl Cache {
         debug_assert!(now < VALID, "cycle count overflows the packed LRU word");
         self.stats.accesses += 1;
         let (base, tag) = self.set_and_tag(addr);
-        match self.find(base, tag) {
-            Some(hit) => {
+        match self.lookup(base, tag) {
+            Ok(hit) => {
                 self.meta[hit] = VALID | now;
                 None
             }
-            None => {
+            Err(victim) => {
                 self.stats.misses += 1;
-                Some(self.victim(base, tag))
+                Some(victim)
             }
         }
     }
@@ -179,7 +180,7 @@ impl Cache {
     /// into (`None` when the line is present).
     fn absent(&self, addr: u64) -> Option<Victim> {
         let (base, tag) = self.set_and_tag(addr);
-        self.find(base, tag).is_none().then(|| self.victim(base, tag))
+        self.lookup(base, tag).err()
     }
 
     /// Installs a line proven absent by [`Cache::demand`] or
@@ -202,21 +203,21 @@ impl Cache {
     /// Checks for a hit without updating statistics or LRU state.
     pub fn probe(&self, addr: u64) -> bool {
         let (base, tag) = self.set_and_tag(addr);
-        self.find(base, tag).is_some()
+        self.lookup(base, tag).is_ok()
     }
 
     /// Fills the line containing `addr`, evicting the LRU way. A fill of a
     /// line that is already present only refreshes its LRU stamp.
     pub fn fill(&mut self, addr: u64, now: u64, is_prefetch: bool) {
         let (base, tag) = self.set_and_tag(addr);
-        match self.find(base, tag) {
-            Some(present) => {
+        match self.lookup(base, tag) {
+            Ok(present) => {
                 self.meta[present] = VALID | now;
                 if is_prefetch {
                     self.stats.prefetch_fills += 1;
                 }
             }
-            None => self.fill_victim(self.victim(base, tag), now, is_prefetch),
+            Err(victim) => self.fill_victim(victim, now, is_prefetch),
         }
     }
 }

@@ -6,6 +6,8 @@
 //! unit inventory listed in the table and a three-level cache hierarchy in
 //! front of a DDR4-like memory latency.
 
+use rsep_isa::OpClass;
+
 /// Front-end, back-end and memory parameters of the simulated core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
@@ -157,6 +159,18 @@ impl CoreConfig {
             dram_latency: 60,
             ..CoreConfig::table1()
         }
+    }
+
+    /// The longest distance, in cycles, from the cycle an instruction
+    /// issues to the cycle its result is readable: a load's walk through
+    /// every cache level to DRAM, the slowest operation, or store-to-load
+    /// forwarding, whichever is largest (262 for Table I). The issue
+    /// stage's wakeup calendar covers this many cycles ahead.
+    pub fn wake_horizon(&self) -> u64 {
+        let load_walk = self.l1d_latency + self.l2_latency + self.l3_latency + self.dram_latency;
+        let slowest_op =
+            OpClass::ALL.iter().map(|op| u64::from(op.base_latency())).fold(0, u64::max);
+        load_walk.max(slowest_op).max(self.stlf_latency)
     }
 
     /// Validates internal consistency of the configuration.
@@ -363,6 +377,7 @@ mod tests {
         assert_eq!(c.l2_bytes, 256 * 1024);
         assert_eq!(c.l3_bytes, 6 * 1024 * 1024);
         assert_eq!(c.stlf_latency, 4);
+        assert_eq!(c.wake_horizon(), 262);
         assert!(c.validate().is_ok());
     }
 

@@ -477,7 +477,7 @@ impl<E: SpecEngine> Core<E> {
             fetch_queue: VecDeque::new(),
             replay: VecDeque::new(),
             store_queue: StoreQueue::new(),
-            sched: WakeupQueue::new(),
+            sched: WakeupQueue::new(config.wake_horizon()),
             issued_scratch: Vec::new(),
             wake_scratch: Vec::new(),
             fetch_pending: Vec::new(),
@@ -2027,18 +2027,19 @@ mod tests {
         let mut core = Core::baseline(CoreConfig::small_test());
         core.fetch_resume_at = 1_000;
         assert_eq!(core.quiescent_until(), Some((1_000, RenameStall::Starved)));
-        core.sched.schedule(700, InstSlot { seq: 0, gen: 0 });
-        assert_eq!(core.quiescent_until(), Some((700, RenameStall::Starved)));
+        // Within the calendar's horizon (97 cycles for `small_test`).
+        core.sched.schedule(90, InstSlot { seq: 0, gen: 0 });
+        assert_eq!(core.quiescent_until(), Some((90, RenameStall::Starved)));
         core.pending_validations.push(PendingValidation {
-            ready_at: 400,
+            ready_at: 70,
             kind: ValidationKind::AnyFu,
             op: OpClass::IntAlu,
         });
-        assert_eq!(core.quiescent_until(), Some((400, RenameStall::Starved)));
+        assert_eq!(core.quiescent_until(), Some((70, RenameStall::Starved)));
         let inst = alu(0, 0x40_0000, 1, None, 0);
-        core.fetch_queue.push_back(FetchedInst { inst, ready_at: 300, mispredicted: false });
-        assert_eq!(core.quiescent_until(), Some((300, RenameStall::Starved)));
-        core.clock = 300;
+        core.fetch_queue.push_back(FetchedInst { inst, ready_at: 50, mispredicted: false });
+        assert_eq!(core.quiescent_until(), Some((50, RenameStall::Starved)));
+        core.clock = 50;
         assert_eq!(core.quiescent_until(), None);
     }
 

@@ -10,10 +10,15 @@
 //!   ready set. An instruction is inserted exactly once, when its last
 //!   outstanding source register is assigned a completion cycle (wakeup on
 //!   writeback); the per-cycle select then iterates only the ready set.
+//!   The calendar is a timing wheel: one bucket per cycle of a window
+//!   longer than any wake-up distance, and an occupancy bitmap that finds
+//!   the next due bucket, so scheduling and releasing an entry are O(1).
 //! * [`StoreQueue`] — the in-flight stores in age order, so load
 //!   disambiguation and store-to-load forwarding find the *youngest older*
 //!   same-address store by scanning back from the load's position; the
-//!   queue holds at most `sq_size` (48 in Table I) stores.
+//!   queue holds at most `sq_size` (48 in Table I) stores. A per-bucket
+//!   count of in-flight store dwords answers most loads (no older store
+//!   can match) without the scan.
 //!
 //! Entries are generation-tagged [`InstSlot`] handles: squash removes ROB
 //! entries but leaves scheduler entries behind, and replayed instructions
@@ -23,67 +28,109 @@
 //! squash cost proportional to the number of squashed instructions.
 
 use crate::rob::InstSlot;
-use std::cmp::Reverse;
-#[expect(
-    clippy::disallowed_types,
-    reason = "only used with the deterministic SeqHasher via U64Map below"
-)]
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
-/// A fast, deterministic hasher for the `u64`-keyed map below (store
-/// waiter lists, hit on every store issue).
-/// The default SipHash is measurably slower and its DoS resistance buys
-/// nothing against simulator-internal keys. Fibonacci multiply + rotate
-/// mixes the low-entropy dword/sequence keys well enough for a `HashMap`.
-#[derive(Debug, Default, Clone, Copy)]
-struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = (self.0 ^ value).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
-    }
-}
-
-#[expect(
-    clippy::disallowed_types,
-    reason = "deterministic SeqHasher seed and keyed access only; never iterated"
-)]
-type U64Map<V> = HashMap<u64, V, BuildHasherDefault<SeqHasher>>;
+/// End of a calendar bucket's node list.
+const NIL: u32 = u32::MAX;
 
 /// Calendar + ready set for event-driven select.
-#[derive(Debug, Default)]
+///
+/// The calendar is a timing wheel of `N` buckets, `N` the next power of
+/// two above the longest wake-up distance (the *horizon*; 262 cycles for
+/// Table I, so 512 buckets). The bucket of cycle `t` is `t mod N`. Every
+/// entry is due at most `horizon` cycles after the cursor (the last cycle
+/// passed to [`WakeupQueue::advance`]), so a bucket only ever holds
+/// entries due in one cycle. A wake-up at or before the cursor goes into
+/// the cursor's bucket: the next `advance` releases it, as it would
+/// release any overdue entry. Buckets are singly linked lists threaded
+/// through one node arena, so memory is bounded by the peak number of
+/// scheduled entries, not by the number of buckets.
+#[derive(Debug)]
 pub struct WakeupQueue {
-    /// Future wakeups: `(wake_at, slot)`, earliest first.
-    calendar: BinaryHeap<Reverse<(u64, InstSlot)>>,
+    /// Longest distance past the cursor that [`WakeupQueue::schedule`]
+    /// accepts.
+    horizon: u64,
+    /// `N - 1`: the bucket of cycle `t` is `t & mask`.
+    mask: u64,
+    /// First node of each bucket's list, [`NIL`] when the bucket is
+    /// empty.
+    heads: Box<[u32]>,
+    /// One bit per bucket, set while its list is non-empty.
+    occupied: Box<[u64]>,
+    /// Node arena: `(slot, next node)`. Released nodes chain through
+    /// `free`.
+    nodes: Vec<(InstSlot, u32)>,
+    /// Head of the free-node chain, [`NIL`] when every node is in use.
+    free: u32,
+    /// The last cycle the calendar was advanced to.
+    cursor: u64,
+    /// The cycle of the first occupied bucket at or after the cursor's
+    /// (`u64::MAX` when the calendar is empty): what
+    /// [`WakeupQueue::next_wake`] reports, kept current by `schedule` and
+    /// recomputed from the bitmap only after a bucket drains.
+    next_due: u64,
+    /// Entries in the calendar.
+    scheduled: usize,
     /// Instructions ready to issue now, kept sorted ascending.
     /// [`InstSlot`] orders by `(seq, gen)`, so iteration is oldest first;
     /// staleness is resolved against the ROB by the caller. Occupancy is
     /// bounded by the scheduler size (tens of entries), where a sorted
     /// `Vec` beats a `BTreeSet` on every operation the select loop uses.
+    /// The order in which a bucket drains into it therefore does not
+    /// matter.
     ready: Vec<InstSlot>,
 }
 
 impl WakeupQueue {
-    /// Creates an empty queue.
-    pub fn new() -> WakeupQueue {
-        WakeupQueue::default()
+    /// Creates an empty queue whose calendar accepts wake-ups up to
+    /// `horizon` cycles ahead (see [`crate::CoreConfig::wake_horizon`]).
+    pub fn new(horizon: u64) -> WakeupQueue {
+        let buckets = (horizon + 1).next_power_of_two().max(64);
+        let len = usize::try_from(buckets).expect("calendar horizon fits in memory");
+        WakeupQueue {
+            horizon,
+            mask: buckets - 1,
+            heads: vec![NIL; len].into_boxed_slice(),
+            occupied: vec![0; len / 64].into_boxed_slice(),
+            nodes: Vec::new(),
+            free: NIL,
+            cursor: 0,
+            next_due: u64::MAX,
+            scheduled: 0,
+            ready: Vec::new(),
+        }
     }
 
     /// Schedules `slot` to enter the ready set at cycle `wake_at` (the
     /// cycle its last source becomes readable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wake_at` lies more than the horizon past the cycle the
+    /// calendar was last advanced to.
     pub fn schedule(&mut self, wake_at: u64, slot: InstSlot) {
-        self.calendar.push(Reverse((wake_at, slot)));
+        assert!(
+            wake_at <= self.cursor + self.horizon,
+            "wake-up at cycle {wake_at} lies beyond the calendar horizon ({} cycles past {})",
+            self.horizon,
+            self.cursor
+        );
+        let due = wake_at.max(self.cursor);
+        self.next_due = self.next_due.min(due);
+        let bucket = (due & self.mask) as usize;
+        let node = (slot, self.heads[bucket]);
+        let index = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("calendar nodes fit in u32")
+        } else {
+            let index = self.free;
+            self.free = self.nodes[index as usize].1;
+            self.nodes[index as usize] = node;
+            index
+        };
+        self.heads[bucket] = index;
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
+        self.scheduled += 1;
     }
 
     /// Inserts an instruction into the ready set immediately (e.g. a load
@@ -94,21 +141,65 @@ impl WakeupQueue {
         }
     }
 
-    /// Moves every calendar entry due at `clock` into the ready set.
+    /// Moves every calendar entry due at or before `clock` into the ready
+    /// set. `clock` never goes back: it is at or after the cursor.
     pub fn advance(&mut self, clock: u64) {
-        while let Some(&Reverse((wake_at, slot))) = self.calendar.peek() {
-            if wake_at > clock {
-                break;
-            }
-            self.calendar.pop();
-            self.insert_ready(slot);
+        debug_assert!(clock >= self.cursor, "the calendar only moves forward");
+        while self.next_due <= clock {
+            self.cursor = self.next_due;
+            self.drain((self.next_due & self.mask) as usize);
+            self.next_due = self.first_due();
         }
+        self.cursor = clock;
+    }
+
+    /// Moves one bucket's entries into the ready set and releases its
+    /// nodes.
+    fn drain(&mut self, bucket: usize) {
+        let mut index = std::mem::replace(&mut self.heads[bucket], NIL);
+        while index != NIL {
+            let (slot, next) = self.nodes[index as usize];
+            self.insert_ready(slot);
+            self.nodes[index as usize].1 = self.free;
+            self.free = index;
+            self.scheduled -= 1;
+            index = next;
+        }
+        self.occupied[bucket / 64] &= !(1 << (bucket % 64));
     }
 
     /// The earliest cycle a calendar entry is due, if any (the entry may be
-    /// stale; the core only uses it as a bound on how far it may skip).
-    pub(crate) fn next_wake(&self) -> Option<u64> {
-        self.calendar.peek().map(|&Reverse((wake_at, _))| wake_at)
+    /// stale; the core only uses it as a bound on how far it may skip). An
+    /// overdue entry reports the cursor. Exact: it is the first occupied
+    /// bucket at or after the cursor's.
+    pub fn next_wake(&self) -> Option<u64> {
+        (self.next_due != u64::MAX).then_some(self.next_due)
+    }
+
+    /// The cycle of the first occupied bucket at or after the cursor's,
+    /// found in the occupancy bitmap; `u64::MAX` when nothing is
+    /// scheduled.
+    fn first_due(&self) -> u64 {
+        if self.scheduled == 0 {
+            return u64::MAX;
+        }
+        let start = (self.cursor & self.mask) as usize;
+        let words = self.occupied.len();
+        let first = self.occupied[start / 64] & (u64::MAX << (start % 64));
+        let bucket = if first != 0 {
+            start / 64 * 64 + first.trailing_zeros() as usize
+        } else {
+            // Wrap around the wheel; the start word comes last, where only
+            // its bits below the cursor's can still be set.
+            (1..=words)
+                .map(|i| (start / 64 + i) & (words - 1))
+                .find_map(|w| {
+                    let bits = self.occupied[w];
+                    (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+                })
+                .expect("a scheduled entry occupies a bucket")
+        };
+        self.cursor + ((bucket as u64).wrapping_sub(start as u64) & self.mask)
     }
 
     /// Snapshot of the ready set in age order, for tests and debugging —
@@ -143,12 +234,12 @@ impl WakeupQueue {
 
     /// Number of pending entries (calendar + ready), for tests.
     pub fn len(&self) -> usize {
-        self.calendar.len() + self.ready.len()
+        self.scheduled + self.ready.len()
     }
 
     /// Returns `true` when nothing is scheduled or ready.
     pub fn is_empty(&self) -> bool {
-        self.calendar.is_empty() && self.ready.is_empty()
+        self.scheduled == 0 && self.ready.is_empty()
     }
 }
 
@@ -167,16 +258,41 @@ pub struct StoreRecord {
     pub complete_at: u64,
 }
 
+/// Buckets of the store queue's dword filter.
+const FILTER_BUCKETS: usize = 256;
+
+/// The filter bucket of `dword`: its low 24 bits folded into 8. The bits
+/// above the low 8 matter because addresses are often aligned, which
+/// leaves a dword's low bits constant (a low-bits bucket let 45% of the
+/// fig7 loads through, the fold 3%).
+fn filter_bucket(dword: u64) -> usize {
+    (dword ^ (dword >> 8) ^ (dword >> 16)) as usize & (FILTER_BUCKETS - 1)
+}
+
 /// Age-ordered in-flight store queue.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StoreQueue {
     /// All in-flight stores in dispatch (= ascending sequence) order.
     /// Stores enter at the tail, commit from the head and squash off the
     /// tail, so the ring stays sorted and lookup is a binary search.
     records: VecDeque<StoreRecord>,
-    /// Loads parked until a specific store issues, keyed by the store's
-    /// sequence number.
-    waiters: U64Map<Vec<InstSlot>>,
+    /// Loads parked until a store issues, each beside the sequence number
+    /// of the store it waits on, in parking order. At most a few loads
+    /// wait at once, and most cycles none do.
+    parked: Vec<(u64, InstSlot)>,
+    /// In-flight stores per [`filter_bucket`]. A load whose bucket counts
+    /// none has no same-dword store to search for.
+    in_bucket: Box<[u32]>,
+}
+
+impl Default for StoreQueue {
+    fn default() -> StoreQueue {
+        StoreQueue {
+            records: VecDeque::new(),
+            parked: Vec::new(),
+            in_bucket: vec![0; FILTER_BUCKETS].into_boxed_slice(),
+        }
+    }
 }
 
 impl StoreQueue {
@@ -208,19 +324,40 @@ impl StoreQueue {
             "stores dispatch in age order"
         );
         self.records.push_back(StoreRecord { seq, dword, issued: false, complete_at: u64::MAX });
+        self.in_bucket[filter_bucket(dword)] += 1;
     }
 
     /// The youngest in-flight store to `dword` that is older than
     /// `before_seq` — the store a load at `before_seq` would read from.
-    /// Scans the older stores youngest first.
+    /// Returns at once when no in-flight store shares `dword`'s filter
+    /// bucket; otherwise scans the older stores youngest first.
     pub fn youngest_older(&self, dword: u64, before_seq: u64) -> Option<StoreRecord> {
+        if self.in_bucket[filter_bucket(dword)] == 0 {
+            return None;
+        }
         let n_older = self.records.partition_point(|r| r.seq < before_seq);
         self.records.range(..n_older).rev().find(|r| r.dword == dword).copied()
     }
 
     /// Parks a load until the store `store_seq` issues.
     pub fn add_waiter(&mut self, store_seq: u64, waiter: InstSlot) {
-        self.waiters.entry(store_seq).or_default().push(waiter);
+        self.parked.push((store_seq, waiter));
+    }
+
+    /// Removes the loads parked on `seq` and returns them in parking
+    /// order.
+    fn unpark(&mut self, seq: u64) -> Vec<InstSlot> {
+        if self.parked.is_empty() {
+            return Vec::new();
+        }
+        let mut woken = Vec::new();
+        self.parked.retain(|&(store, waiter)| {
+            if store == seq {
+                woken.push(waiter);
+            }
+            store != seq
+        });
+        woken
     }
 
     /// Marks a store issued with data available at `complete_at`, and
@@ -232,21 +369,18 @@ impl StoreQueue {
             record.issued = true;
             record.complete_at = complete_at;
         }
-        if self.waiters.is_empty() {
-            return Vec::new();
-        }
-        self.waiters.remove(&seq).unwrap_or_default()
+        self.unpark(seq)
     }
 
     /// Removes a committed store. A store commits only after issuing, so
-    /// its waiter list has already been drained. Commit is in program
-    /// order, so this is almost always a pop from the head of the ring.
+    /// no load is parked on it any more. Commit is in program order, so
+    /// this is almost always a pop from the head of the ring.
     pub fn remove(&mut self, seq: u64) {
-        let Some(pos) = self.position(seq) else {
+        let Some(record) = self.position(seq).and_then(|pos| self.records.remove(pos)) else {
             return;
         };
-        self.records.remove(pos);
-        self.waiters.remove(&seq);
+        self.in_bucket[filter_bucket(record.dword)] -= 1;
+        self.unpark(seq);
     }
 
     /// Removes every store with `seq >= from_seq` (squash). Cost is
@@ -254,8 +388,9 @@ impl StoreQueue {
     pub fn squash_from(&mut self, from_seq: u64) {
         let keep = self.records.partition_point(|r| r.seq < from_seq);
         for record in self.records.drain(keep..) {
-            self.waiters.remove(&record.seq);
+            self.in_bucket[filter_bucket(record.dword)] -= 1;
         }
+        self.parked.retain(|&(store, _)| store < from_seq);
     }
 }
 
@@ -269,7 +404,7 @@ mod tests {
 
     #[test]
     fn calendar_releases_entries_at_their_wake_cycle() {
-        let mut q = WakeupQueue::new();
+        let mut q = WakeupQueue::new(16);
         q.schedule(5, slot(1, 0));
         q.schedule(3, slot(2, 0));
         q.schedule(7, slot(3, 0));
@@ -283,8 +418,36 @@ mod tests {
     }
 
     #[test]
+    fn calendar_wraps_around_the_wheel_and_releases_overdue_entries() {
+        // Horizon 100: a 128-bucket wheel, the smallest above the horizon.
+        let mut q = WakeupQueue::new(100);
+        q.advance(120);
+        q.schedule(220, slot(1, 0)); // bucket 92, past the wheel's end
+        q.schedule(125, slot(2, 0));
+        q.schedule(90, slot(3, 0)); // overdue: due at the cursor
+        assert_eq!(q.next_wake(), Some(120));
+        q.advance(121);
+        assert_eq!(q.ready_snapshot(), vec![slot(3, 0)]);
+        assert_eq!(q.next_wake(), Some(125));
+        q.advance(219);
+        assert_eq!(q.next_wake(), Some(220));
+        q.advance(400);
+        assert_eq!(q.ready_snapshot(), vec![slot(1, 0), slot(2, 0), slot(3, 0)]);
+        assert_eq!(q.next_wake(), None);
+        assert_eq!(q.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the calendar horizon")]
+    fn calendar_rejects_wakeups_beyond_the_horizon() {
+        let mut q = WakeupQueue::new(100);
+        q.advance(10);
+        q.schedule(111, slot(1, 0));
+    }
+
+    #[test]
     fn ready_set_iterates_in_age_order() {
-        let mut q = WakeupQueue::new();
+        let mut q = WakeupQueue::new(16);
         q.insert_ready(slot(9, 1));
         q.insert_ready(slot(2, 0));
         q.insert_ready(slot(5, 2));
@@ -339,19 +502,5 @@ mod tests {
         sq.push(3, 0xB);
         sq.push(4, 0xA);
         assert_eq!(sq.youngest_older(0xA, 100).unwrap().seq, 4);
-    }
-
-    #[test]
-    fn seq_hasher_is_deterministic_and_spreads_small_keys() {
-        let hash = |v: u64| {
-            let mut h = SeqHasher::default();
-            h.write_u64(v);
-            h.finish()
-        };
-        assert_eq!(hash(42), hash(42));
-        // Consecutive dwords (the common store-address pattern) must not
-        // collapse onto each other.
-        let hashes: std::collections::BTreeSet<u64> = (0..1024).map(hash).collect();
-        assert_eq!(hashes.len(), 1024);
     }
 }

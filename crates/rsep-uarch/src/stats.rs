@@ -56,18 +56,6 @@ impl CoverageCounts {
         }
     }
 
-    /// Total committed instructions covered by any mechanism.
-    pub fn total_covered(&self) -> u64 {
-        self.zero_idiom_elim
-            + self.move_elim
-            + self.zero_pred
-            + self.load_zero_pred
-            + self.dist_pred
-            + self.load_dist_pred
-            + self.value_pred
-            + self.load_value_pred
-    }
-
     /// Instructions covered specifically by distance prediction.
     pub fn total_dist_pred(&self) -> u64 {
         self.dist_pred + self.load_dist_pred
@@ -312,7 +300,6 @@ mod tests {
         assert_eq!(c.zero_idiom_elim, 1);
         assert_eq!(c.move_elim, 1);
         assert_eq!(c.load_zero_pred, 1);
-        assert_eq!(c.total_covered(), 6);
         assert_eq!(c.total_dist_pred(), 2);
         assert_eq!(c.total_value_pred(), 1);
     }
