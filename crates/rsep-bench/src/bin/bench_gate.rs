@@ -106,7 +106,6 @@ fn label_of(entry: &Json) -> Option<(String, String)> {
     pairs.iter().find_map(|(k, v)| v.as_str().map(|label| (k.clone(), label.to_string())))
 }
 
-// lint: json-reader(BenchRecord)
 fn compare(baseline: &Json, current: &Json, threshold_pct: f64) -> Report {
     let mut report = Report { lines: Vec::new(), failures: Vec::new(), compared: 0 };
     let empty: [Json; 0] = [];
@@ -254,6 +253,25 @@ mod tests {
         let report = compare(&baseline, &current, 10.0);
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains("polling"));
+    }
+
+    #[test]
+    fn a_written_bench_record_is_read_by_the_gate() {
+        // The gate reads what `BenchRecord::to_json` writes: the
+        // `results` array, labelled entries and their `*_per_sec` fields.
+        let record = rsep_bench::record::BenchRecord {
+            bench: "cycle_loop",
+            params: vec![("commits", Json::Num(5.0))],
+            results: vec![Json::Object(vec![
+                ("scheduler".to_string(), Json::Str("event_driven".to_string())),
+                ("mcycles_per_sec".to_string(), Json::Num(15.0)),
+            ])],
+            attribution: Json::Null,
+        }
+        .to_json();
+        let report = compare(&record, &record, 10.0);
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.compared, 1);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use rsep_stats::json::Json;
 use std::hint::black_box;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Version of the record envelope written by [`BenchRecord::to_json`].
-// lint: exempt(dead-pub-api, schema contract for external consumers of bench JSON records)
+/// Version of the record envelope written by [`BenchRecord::to_json`]; the
+/// schema contract external consumers of `BENCH_*.json` check.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One bench's machine-readable throughput record.
@@ -44,20 +44,21 @@ pub struct BenchRecord {
 impl BenchRecord {
     /// Builds the full schema-v2 envelope.
     pub fn to_json(&self) -> Json {
+        let Self { bench, params, results, attribution } = self;
         let mut pairs = vec![
             ("schema_version".to_string(), Json::Num(SCHEMA_VERSION as f64)),
-            ("bench".to_string(), Json::Str(self.bench.to_string())),
+            ("bench".to_string(), Json::Str(bench.to_string())),
             ("host".to_string(), host_metadata()),
             (
                 "max_rss_kb".to_string(),
                 max_rss_kb().map(|kb| Json::Num(kb as f64)).unwrap_or(Json::Null),
             ),
         ];
-        for (key, value) in &self.params {
+        for (key, value) in params {
             pairs.push((key.to_string(), value.clone()));
         }
-        pairs.push(("results".to_string(), Json::Array(self.results.clone())));
-        pairs.push(("attribution".to_string(), self.attribution.clone()));
+        pairs.push(("results".to_string(), Json::Array(results.clone())));
+        pairs.push(("attribution".to_string(), attribution.clone()));
         Json::Object(pairs)
     }
 
@@ -88,8 +89,7 @@ pub fn timed<T>(run: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// Host metadata: CPU model, core count, rustc version, UTC timestamp.
-// lint: exempt(dead-pub-api, building block for external tooling that assembles its own records)
-pub fn host_metadata() -> Json {
+fn host_metadata() -> Json {
     Json::Object(vec![
         ("cpu_model".to_string(), cpu_model().map(Json::Str).unwrap_or(Json::Null)),
         ("cores".to_string(), online_cpus().map(Json::Int).unwrap_or(Json::Null)),
@@ -123,8 +123,7 @@ fn cpu_model() -> Option<String> {
 
 /// Peak resident set size in kB from `/proc/self/status` (`VmHWM`).
 /// `None` where procfs is unavailable (graceful `null` in the record).
-// lint: exempt(dead-pub-api, building block for external tooling that assembles its own records)
-pub fn max_rss_kb() -> Option<u64> {
+fn max_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()

@@ -42,8 +42,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Bumped whenever the key derivation or the stored-cell encoding changes,
-/// so stale stores are invalidated instead of misread.
-// lint: exempt(dead-pub-api, on-disk format contract; external tooling checks it before reading a store)
+/// so stale stores are invalidated instead of misread. Part of the on-disk
+/// format: external tooling checks it before reading a store.
 pub const STORE_FORMAT_VERSION: u64 = 1;
 
 /// Basis of the second (high) hash lane of a [`CellKey`].
@@ -181,23 +181,20 @@ impl CampaignHeader {
     }
 
     fn to_json(&self) -> Json {
+        let Self { id, spec_fingerprint, profiles, mechanisms, baseline, checkpoints, cells } =
+            self;
+        let names =
+            |list: &[String]| Json::Array(list.iter().map(|n| Json::Str(n.clone())).collect());
         Json::Object(vec![
-            // lint: exempt(json-roundtrip, the kind tag routes lines in read_back and is not a field)
             ("kind".into(), Json::Str("campaign".into())),
             ("version".into(), Json::Num(STORE_FORMAT_VERSION as f64)),
-            ("id".into(), Json::Str(self.id.clone())),
-            ("spec".into(), Json::Str(format!("{:016x}", self.spec_fingerprint))),
-            (
-                "profiles".into(),
-                Json::Array(self.profiles.iter().map(|p| Json::Str(p.clone())).collect()),
-            ),
-            (
-                "mechanisms".into(),
-                Json::Array(self.mechanisms.iter().map(|m| Json::Str(m.clone())).collect()),
-            ),
-            ("baseline".into(), Json::Bool(self.baseline)),
-            ("checkpoints".into(), Json::Num(self.checkpoints as f64)),
-            ("cells".into(), Json::Num(self.cells as f64)),
+            ("id".into(), Json::Str(id.clone())),
+            ("spec".into(), Json::Str(format!("{spec_fingerprint:016x}"))),
+            ("profiles".into(), names(profiles)),
+            ("mechanisms".into(), names(mechanisms)),
+            ("baseline".into(), Json::Bool(*baseline)),
+            ("checkpoints".into(), Json::Num(*checkpoints as f64)),
+            ("cells".into(), Json::Num(*cells as f64)),
         ])
     }
 
@@ -255,59 +252,91 @@ fn u64_field(pairs: &mut Vec<(String, Json)>, key: &str, value: u64) {
 }
 
 fn coverage_to_json(c: &CoverageCounts) -> Json {
+    let CoverageCounts {
+        zero_idiom_elim,
+        move_elim,
+        zero_pred,
+        load_zero_pred,
+        dist_pred,
+        load_dist_pred,
+        value_pred,
+        load_value_pred,
+    } = *c;
     let mut pairs = Vec::new();
-    u64_field(&mut pairs, "zero_idiom_elim", c.zero_idiom_elim);
-    u64_field(&mut pairs, "move_elim", c.move_elim);
-    u64_field(&mut pairs, "zero_pred", c.zero_pred);
-    u64_field(&mut pairs, "load_zero_pred", c.load_zero_pred);
-    u64_field(&mut pairs, "dist_pred", c.dist_pred);
-    u64_field(&mut pairs, "load_dist_pred", c.load_dist_pred);
-    u64_field(&mut pairs, "value_pred", c.value_pred);
-    u64_field(&mut pairs, "load_value_pred", c.load_value_pred);
+    u64_field(&mut pairs, "zero_idiom_elim", zero_idiom_elim);
+    u64_field(&mut pairs, "move_elim", move_elim);
+    u64_field(&mut pairs, "zero_pred", zero_pred);
+    u64_field(&mut pairs, "load_zero_pred", load_zero_pred);
+    u64_field(&mut pairs, "dist_pred", dist_pred);
+    u64_field(&mut pairs, "load_dist_pred", load_dist_pred);
+    u64_field(&mut pairs, "value_pred", value_pred);
+    u64_field(&mut pairs, "load_value_pred", load_value_pred);
     Json::Object(pairs)
 }
 
 fn stats_to_json(s: &SimStats) -> Json {
+    let SimStats {
+        cycles,
+        committed,
+        committed_loads,
+        committed_stores,
+        committed_branches,
+        branch_mispredictions,
+        prediction_squashes,
+        correct_predictions,
+        incorrect_predictions,
+        eligible_instructions,
+        prf_stall_cycles,
+        queue_stall_cycles,
+        watchdog_flushes,
+        validation_issues,
+        validation_port_conflicts,
+        stlf_forwards,
+        coverage,
+        cache,
+        predictors,
+        rob_occupancy_sum,
+    } = s;
     let mut pairs = Vec::new();
-    u64_field(&mut pairs, "cycles", s.cycles);
-    u64_field(&mut pairs, "committed", s.committed);
-    u64_field(&mut pairs, "committed_loads", s.committed_loads);
-    u64_field(&mut pairs, "committed_stores", s.committed_stores);
-    u64_field(&mut pairs, "committed_branches", s.committed_branches);
-    u64_field(&mut pairs, "branch_mispredictions", s.branch_mispredictions);
-    u64_field(&mut pairs, "prediction_squashes", s.prediction_squashes);
-    u64_field(&mut pairs, "correct_predictions", s.correct_predictions);
-    u64_field(&mut pairs, "incorrect_predictions", s.incorrect_predictions);
-    u64_field(&mut pairs, "eligible_instructions", s.eligible_instructions);
-    u64_field(&mut pairs, "prf_stall_cycles", s.prf_stall_cycles);
-    u64_field(&mut pairs, "queue_stall_cycles", s.queue_stall_cycles);
-    u64_field(&mut pairs, "watchdog_flushes", s.watchdog_flushes);
-    u64_field(&mut pairs, "validation_issues", s.validation_issues);
-    u64_field(&mut pairs, "validation_port_conflicts", s.validation_port_conflicts);
-    u64_field(&mut pairs, "stlf_forwards", s.stlf_forwards);
-    u64_field(&mut pairs, "rob_occupancy_sum", s.rob_occupancy_sum);
-    pairs.push(("coverage".into(), coverage_to_json(&s.coverage)));
-    let cache = s
-        .cache
+    u64_field(&mut pairs, "cycles", *cycles);
+    u64_field(&mut pairs, "committed", *committed);
+    u64_field(&mut pairs, "committed_loads", *committed_loads);
+    u64_field(&mut pairs, "committed_stores", *committed_stores);
+    u64_field(&mut pairs, "committed_branches", *committed_branches);
+    u64_field(&mut pairs, "branch_mispredictions", *branch_mispredictions);
+    u64_field(&mut pairs, "prediction_squashes", *prediction_squashes);
+    u64_field(&mut pairs, "correct_predictions", *correct_predictions);
+    u64_field(&mut pairs, "incorrect_predictions", *incorrect_predictions);
+    u64_field(&mut pairs, "eligible_instructions", *eligible_instructions);
+    u64_field(&mut pairs, "prf_stall_cycles", *prf_stall_cycles);
+    u64_field(&mut pairs, "queue_stall_cycles", *queue_stall_cycles);
+    u64_field(&mut pairs, "watchdog_flushes", *watchdog_flushes);
+    u64_field(&mut pairs, "validation_issues", *validation_issues);
+    u64_field(&mut pairs, "validation_port_conflicts", *validation_port_conflicts);
+    u64_field(&mut pairs, "stlf_forwards", *stlf_forwards);
+    u64_field(&mut pairs, "rob_occupancy_sum", *rob_occupancy_sum);
+    pairs.push(("coverage".into(), coverage_to_json(coverage)));
+    let cache = cache
         .iter()
         .map(|(level, c)| {
+            let CacheStats { accesses, misses, prefetch_fills } = *c;
             let mut entry = vec![("level".to_string(), Json::Str((*level).into()))];
-            u64_field(&mut entry, "accesses", c.accesses);
-            u64_field(&mut entry, "misses", c.misses);
-            u64_field(&mut entry, "prefetch_fills", c.prefetch_fills);
+            u64_field(&mut entry, "accesses", accesses);
+            u64_field(&mut entry, "misses", misses);
+            u64_field(&mut entry, "prefetch_fills", prefetch_fills);
             Json::Object(entry)
         })
         .collect();
     pairs.push(("cache".into(), Json::Array(cache)));
-    let predictors = s
-        .predictors
+    let predictors = predictors
         .iter()
         .map(|(family, p)| {
+            let PredictorStats { lookups, used, correct, incorrect } = *p;
             let mut entry = vec![("family".to_string(), Json::Str((*family).into()))];
-            u64_field(&mut entry, "lookups", p.lookups);
-            u64_field(&mut entry, "used", p.used);
-            u64_field(&mut entry, "correct", p.correct);
-            u64_field(&mut entry, "incorrect", p.incorrect);
+            u64_field(&mut entry, "lookups", lookups);
+            u64_field(&mut entry, "used", used);
+            u64_field(&mut entry, "correct", correct);
+            u64_field(&mut entry, "incorrect", incorrect);
             Json::Object(entry)
         })
         .collect();
@@ -441,16 +470,16 @@ fn stats_from_json(v: &Json) -> Result<SimStats, String> {
 /// simulations) carry an `error` field so the failure itself is persisted
 /// and a resumed campaign does not silently re-run it as a hole.
 fn cell_to_json(index: usize, key: CellKey, result: &CheckpointResult) -> Json {
+    let CheckpointResult { index: checkpoint, ipc, stats, error } = result;
     let mut pairs = vec![
-        // lint: exempt(json-roundtrip, the kind tag routes lines in read_back and is not a field)
         ("kind".into(), Json::Str("cell".into())),
         ("index".into(), Json::Num(index as f64)),
         ("key".into(), Json::Str(key.to_string())),
-        ("checkpoint".into(), Json::Num(result.index as f64)),
-        ("ipc".into(), Json::Num(result.ipc)),
-        ("stats".into(), stats_to_json(&result.stats)),
+        ("checkpoint".into(), Json::Num(*checkpoint as f64)),
+        ("ipc".into(), Json::Num(*ipc)),
+        ("stats".into(), stats_to_json(stats)),
     ];
-    if let Some(error) = &result.error {
+    if let Some(error) = error {
         pairs.push(("error".into(), Json::Str(error.clone())));
     }
     Json::Object(pairs)
@@ -678,7 +707,6 @@ impl ResultStore for JsonlStore {
 }
 
 /// One stored cell: grid index, content-addressed key, and result.
-// lint: exempt(dead-pub-api, named alias documenting the tuple shape Store implementations exchange)
 pub type StoredCell = (usize, CellKey, CheckpointResult);
 
 /// Reads a JSONL store file: the campaign header plus every complete cell
@@ -815,6 +843,60 @@ mod tests {
         (key, CheckpointResult { index: 0, ipc: 456.0 / 123.0, stats, error: None })
     }
 
+    /// Statistics with every counter set to a distinct non-zero value,
+    /// every cache level and every predictor family present, so a writer
+    /// that drops, renames or swaps a field fails the round trip.
+    fn distinct_stats() -> SimStats {
+        let mut next = 0u64;
+        let mut n = || {
+            next += 1;
+            next
+        };
+        SimStats {
+            cycles: n(),
+            committed: n(),
+            committed_loads: n(),
+            committed_stores: n(),
+            committed_branches: n(),
+            branch_mispredictions: n(),
+            prediction_squashes: n(),
+            correct_predictions: n(),
+            incorrect_predictions: n(),
+            eligible_instructions: n(),
+            prf_stall_cycles: n(),
+            queue_stall_cycles: n(),
+            watchdog_flushes: n(),
+            validation_issues: n(),
+            validation_port_conflicts: n(),
+            stlf_forwards: n(),
+            coverage: CoverageCounts {
+                zero_idiom_elim: n(),
+                move_elim: n(),
+                zero_pred: n(),
+                load_zero_pred: n(),
+                dist_pred: n(),
+                load_dist_pred: n(),
+                value_pred: n(),
+                load_value_pred: n(),
+            },
+            cache: ["L1I", "L1D", "L2", "L3"]
+                .into_iter()
+                .map(|level| {
+                    (level, CacheStats { accesses: n(), misses: n(), prefetch_fills: n() })
+                })
+                .collect(),
+            predictors: ["tage", "btb", "distance", "dvtage", "zero"]
+                .into_iter()
+                .map(|family| {
+                    let stats =
+                        PredictorStats { lookups: n(), used: n(), correct: n(), incorrect: n() };
+                    (family, stats)
+                })
+                .collect(),
+            rob_occupancy_sum: n(),
+        }
+    }
+
     #[test]
     fn cell_key_is_deterministic_and_sensitive() {
         let profile = BenchmarkProfile::by_name("mcf").unwrap();
@@ -873,15 +955,18 @@ mod tests {
 
     #[test]
     fn cell_record_round_trips_through_json() {
-        let (key, result) = sample_cell();
-        let encoded = cell_to_json(3, key, &result);
-        let (index, parsed_key, parsed) = cell_from_json(&encoded).unwrap();
-        assert_eq!(index, 3);
-        assert_eq!(parsed_key, key);
-        assert_eq!(parsed.index, result.index);
-        assert_eq!(parsed.ipc.to_bits(), result.ipc.to_bits());
-        assert_eq!(parsed.stats, result.stats);
-        assert_eq!(parsed.error, None);
+        let (key, _) = sample_cell();
+        for error in [None, Some("pipeline deadlock: no commit since cycle 42".to_string())] {
+            let result = CheckpointResult { index: 2, ipc: 1.375, stats: distinct_stats(), error };
+            let (cell_index, parsed_key, parsed) =
+                cell_from_json(&cell_to_json(3, key, &result)).unwrap();
+            assert_eq!((cell_index, parsed_key), (3, key));
+            let CheckpointResult { index, ipc, stats, error } = parsed;
+            assert_eq!(index, result.index);
+            assert_eq!(ipc.to_bits(), result.ipc.to_bits());
+            assert_eq!(stats, result.stats);
+            assert_eq!(error, result.error);
+        }
     }
 
     #[test]
@@ -923,6 +1008,25 @@ mod tests {
             .with_mechanisms(vec![MechanismConfig::rsep_ideal()]);
         let header = CampaignHeader::for_spec(&spec);
         assert_eq!(header.cells, spec.cell_count());
-        assert_eq!(CampaignHeader::from_json(&header.to_json()).unwrap(), header);
+        // Every field distinct and non-default, so a swapped or dropped
+        // value cannot round-trip.
+        let distinct = CampaignHeader {
+            id: "full-header".into(),
+            spec_fingerprint: 0xfedc_ba98_7654_3210,
+            profiles: vec!["mcf".into(), "gcc".into()],
+            mechanisms: vec!["baseline".into(), "rsep-ideal".into(), "vpred".into()],
+            baseline: true,
+            checkpoints: 4,
+            cells: 24,
+        };
+        for header in [header, distinct] {
+            assert_eq!(CampaignHeader::from_json(&header.to_json()).unwrap(), header);
+        }
+    }
+
+    #[test]
+    fn every_stats_field_round_trips_through_json() {
+        let stats = distinct_stats();
+        assert_eq!(stats_from_json(&stats_to_json(&stats)).unwrap(), stats);
     }
 }

@@ -19,7 +19,7 @@
 //! history — with optional commit-group sampling plus the
 //! likely-candidate/validation-path refinement of Section IV-B3.
 
-use crate::config::{MechanismConfig, RsepConfig, VpConfig};
+use crate::config::{MechanismConfig, VpConfig};
 use crate::fifo_history::FifoHistory;
 use crate::isrb::Isrb;
 use rsep_isa::{DynInst, OpClass, PhysReg};
@@ -147,11 +147,6 @@ impl RsepEngine {
     /// FIFO-history statistics, when RSEP is enabled.
     pub fn fifo_stats(&self) -> Option<crate::fifo_history::FifoHistoryStats> {
         self.fifo.as_ref().map(|f| f.stats())
-    }
-
-    /// RSEP configuration, when the mechanism is enabled.
-    pub fn rsep_config(&self) -> Option<&RsepConfig> {
-        self.config.rsep.as_ref()
     }
 
     /// Attempts an RSEP share for `inst`; returns the action when the whole

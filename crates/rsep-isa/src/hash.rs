@@ -11,7 +11,6 @@
 use std::fmt;
 
 /// Default hash width used throughout the paper (14 bits).
-// lint: exempt(dead-pub-api, architectural constant from the paper; part of the public contract)
 pub const DEFAULT_HASH_WIDTH: u8 = 14;
 
 /// The folding hash of Section IV-A.

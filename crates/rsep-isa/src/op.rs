@@ -149,13 +149,6 @@ impl OpClass {
             OpClass::Branch => 1,
         }
     }
-
-    /// Returns `true` if the functional unit executing this class is not
-    /// pipelined (Table I marks the integer and FP dividers as such).
-    #[inline]
-    pub fn is_unpipelined(self) -> bool {
-        matches!(self, OpClass::IntDiv | OpClass::FpDiv)
-    }
 }
 
 impl fmt::Display for OpClass {
@@ -231,9 +224,6 @@ mod tests {
         assert_eq!(OpClass::FpAlu.base_latency(), 3);
         assert_eq!(OpClass::FpMul.base_latency(), 3);
         assert_eq!(OpClass::FpDiv.base_latency(), 11);
-        assert!(OpClass::IntDiv.is_unpipelined());
-        assert!(OpClass::FpDiv.is_unpipelined());
-        assert!(!OpClass::IntMul.is_unpipelined());
     }
 
     #[test]

@@ -13,7 +13,6 @@ pub const NUM_INT_ARCH_REGS: u8 = 32;
 /// Number of floating-point architectural registers.
 pub const NUM_FP_ARCH_REGS: u8 = 32;
 /// Index of the hardwired integer zero register.
-// lint: exempt(dead-pub-api, architectural constant of the modeled ISA; part of the public contract)
 pub const ZERO_REG_INDEX: u8 = 31;
 
 /// Register class: integer or floating point.

@@ -31,16 +31,6 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
     positive.len() as f64 / positive.iter().map(|v| 1.0 / v).sum::<f64>()
 }
 
-/// Geometric mean of a slice (0.0 for an empty slice).
-// lint: exempt(dead-pub-api, companion of harmonic_mean for downstream report aggregation)
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    let positive: Vec<f64> = values.iter().copied().filter(|v| *v > 0.0).collect();
-    if positive.is_empty() {
-        return 0.0;
-    }
-    (positive.iter().map(|v| v.ln()).sum::<f64>() / positive.len() as f64).exp()
-}
-
 /// Arithmetic mean of a slice (0.0 for an empty slice).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -62,7 +52,6 @@ pub fn speedup_percent(value: f64, baseline: f64) -> f64 {
 
 /// One data point of an experiment: a benchmark × series value.
 #[derive(Debug, Clone, PartialEq)]
-// lint: exempt(dead-pub-api, element type of Experiment's pub data vector; reached through it)
 pub struct DataPoint {
     /// Benchmark name.
     pub benchmark: String,
@@ -160,24 +149,22 @@ impl Experiment {
     /// The experiment as a [`Json`] value (`{id, unit, points: [...]}`),
     /// keys and points in insertion order.
     pub fn to_json_value(&self) -> Json {
+        let Self { id, unit, points } = self;
+        let points = points
+            .iter()
+            .map(|p| {
+                let DataPoint { benchmark, series, value } = p;
+                Json::Object(vec![
+                    ("benchmark".into(), Json::Str(benchmark.clone())),
+                    ("series".into(), Json::Str(series.clone())),
+                    ("value".into(), Json::Num(*value)),
+                ])
+            })
+            .collect();
         Json::Object(vec![
-            ("id".into(), Json::Str(self.id.clone())),
-            ("unit".into(), Json::Str(self.unit.clone())),
-            (
-                "points".into(),
-                Json::Array(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            Json::Object(vec![
-                                ("benchmark".into(), Json::Str(p.benchmark.clone())),
-                                ("series".into(), Json::Str(p.series.clone())),
-                                ("value".into(), Json::Num(p.value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("id".into(), Json::Str(id.clone())),
+            ("unit".into(), Json::Str(unit.clone())),
+            ("points".into(), Json::Array(points)),
         ])
     }
 
@@ -287,9 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn geometric_and_arithmetic_means() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[]), 0.0);
+    fn arithmetic_mean() {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
     }
@@ -331,7 +316,7 @@ mod tests {
     fn json_round_trip() {
         let mut exp = Experiment::new("figure1", "% committed");
         exp.push("zeusmp", "zero-other", 20.0);
-        exp.push("zeusmp", "zero (load)", 1.625);
+        exp.push("gcc", "zero (load)", 1.625);
         let json = exp.to_json();
         let back = Experiment::from_json(&json).unwrap();
         assert_eq!(back, exp);

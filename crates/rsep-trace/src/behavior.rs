@@ -71,28 +71,6 @@ pub enum ValueBehavior {
     Random,
 }
 
-impl ValueBehavior {
-    /// Returns `true` if the behaviour is (mostly) capturable by
-    /// conventional value prediction.
-    pub fn is_value_predictable(&self) -> bool {
-        match self {
-            ValueBehavior::Constant(_) | ValueBehavior::Strided { .. } => true,
-            ValueBehavior::LastValue { p_repeat } => *p_repeat > 0.9,
-            _ => false,
-        }
-    }
-
-    /// Returns `true` if the behaviour creates equality with an older
-    /// instruction at a learnable distance.
-    pub fn is_distance_predictable(&self) -> bool {
-        match self {
-            ValueBehavior::CopyStatic { p_match, .. } => *p_match > 0.9,
-            ValueBehavior::Constant(_) => true,
-            _ => false,
-        }
-    }
-}
-
 /// Control-flow behaviour of one static branch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BranchBehavior {
@@ -321,8 +299,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(b.next_value(&mut st, None, &mut r), 42);
         }
-        assert!(b.is_value_predictable());
-        assert!(b.is_distance_predictable());
     }
 
     #[test]
@@ -332,8 +308,6 @@ mod tests {
         let mut r = rng();
         let vals: Vec<u64> = (0..5).map(|_| b.next_value(&mut st, None, &mut r)).collect();
         assert_eq!(vals, vec![100, 108, 116, 124, 132]);
-        assert!(b.is_value_predictable());
-        assert!(!b.is_distance_predictable());
     }
 
     #[test]
@@ -351,8 +325,6 @@ mod tests {
         let mut st = ValueState::default();
         let mut r = rng();
         assert_eq!(b.next_value(&mut st, Some(0xabcd), &mut r), 0xabcd);
-        assert!(b.is_distance_predictable());
-        assert!(!b.is_value_predictable());
     }
 
     #[test]

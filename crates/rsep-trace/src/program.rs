@@ -23,13 +23,10 @@ use rand::{Rng, SeedableRng};
 use rsep_isa::{ArchReg, BranchKind, OpClass, RegClass};
 
 /// Base address at which the synthetic code is laid out.
-// lint: exempt(dead-pub-api, documented layout constant of the synthetic address space)
 pub const CODE_BASE: u64 = 0x0040_0000;
 /// Base address of the synthetic data segment.
-// lint: exempt(dead-pub-api, documented layout constant of the synthetic address space)
 pub const DATA_BASE: u64 = 0x1000_0000;
 /// Size in bytes of one encoded instruction.
-// lint: exempt(dead-pub-api, documented layout constant of the synthetic address space)
 pub const INST_BYTES: u64 = 4;
 
 /// One static instruction of a synthetic program.
@@ -70,7 +67,6 @@ impl StaticInst {
 
 /// One inner loop of the synthetic program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// lint: exempt(dead-pub-api, element type of StaticProgram's pub loop list; reached through it)
 pub struct Loop {
     /// Index of the first instruction of the body.
     pub start: usize,

@@ -21,8 +21,6 @@
 //! campaign fingerprints — they describe the *simulator*, not the simulated
 //! machine (see `DESIGN.md`).
 
-// lint: exempt-file(obs-gate, defines the attribution types; always compiled for testability)
-
 /// Per-cycle classification of the fetch stage. Exactly one field is
 /// incremented per simulated cycle, so the fields sum to total cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

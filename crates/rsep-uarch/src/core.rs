@@ -22,9 +22,9 @@ use crate::engine::{Disposition, RenameAction, RenameContext, SpecEngine, Valida
 use crate::regfile::{PhysRegFile, RegisterFiles, NOT_READY};
 use crate::rename::RenameMap;
 use crate::rob::{InflightInst, InstSlot, Rob, SrcRegs};
-use crate::sched::{StoreQueue, WakeupQueue};
+use crate::sched::{StoreQueue, StoreRecord, WakeupQueue};
 use crate::stats::SimStats;
-use rsep_isa::{DynInst, OpClass, PhysReg, RegClass};
+use rsep_isa::{DynInst, MemInfo, OpClass, PhysReg, RegClass};
 use rsep_predictors::{PredictRequest, PredictorStack, PredictorStats};
 use std::collections::VecDeque;
 
@@ -179,6 +179,13 @@ struct Counters {
     #[cfg(feature = "obs")]
     attribution: StageAttribution,
 }
+
+/// Where a selected load forwards from: the completion cycle of its
+/// youngest older same-double-word store, which has issued. `None` for a
+/// load that reads the d-cache and for every other instruction. Chosen at
+/// select: a load whose youngest older store has not issued is parked, so
+/// no store issued in the same cycle can change the choice.
+type Forward = Option<u64>;
 
 /// Per-cycle issue-port budget (Table I functional units).
 #[derive(Debug, Clone)]
@@ -383,8 +390,9 @@ pub struct Core<E: SpecEngine> {
     replay: VecDeque<DynInst>,
     store_queue: StoreQueue,
     sched: WakeupQueue,
-    /// Reused per-cycle buffer of the instructions selected for issue.
-    issued_scratch: Vec<InstSlot>,
+    /// Reused per-cycle buffer of the instructions selected for issue, each
+    /// with the load's store-to-load forwarding source (see [`Forward`]).
+    issued_scratch: Vec<(InstSlot, Forward)>,
     /// Reused buffer for draining per-register waiter lists on writeback.
     wake_scratch: Vec<InstSlot>,
     /// This cycle's fetched instructions that start a new i-cache block:
@@ -536,7 +544,6 @@ impl<E: SpecEngine> Core<E> {
     /// Per-stage cycle attribution accumulated since the last
     /// [`Core::reset_stats`]. `Some` only when the crate is built with the
     /// `obs` feature; `None` otherwise (the counters do not exist).
-    // lint: exempt(obs-gate, accessor exists in both builds; returns None without obs)
     pub fn attribution(&self) -> Option<&crate::attribution::StageAttribution> {
         #[cfg(feature = "obs")]
         {
@@ -549,7 +556,6 @@ impl<E: SpecEngine> Core<E> {
     }
 
     /// Takes (and resets) the attribution; see [`Core::attribution`].
-    // lint: exempt(obs-gate, accessor exists in both builds; returns None without obs)
     pub fn take_attribution(&mut self) -> Option<crate::attribution::StageAttribution> {
         #[cfg(feature = "obs")]
         {
@@ -1148,21 +1154,17 @@ impl<E: SpecEngine> Core<E> {
                     continue;
                 }
             };
-            if op.is_load() {
-                if let Some(m) = mem {
-                    // Memory disambiguation: the load reads from the
-                    // youngest older same-double-word store; until that
-                    // store has issued, park the load on it instead of
-                    // re-polling every cycle.
-                    if let Some(blocker) = self.store_queue.youngest_older(m.addr >> 3, slot.seq) {
-                        if !blocker.issued {
-                            self.sched.remove_ready_at(idx);
-                            self.store_queue.add_waiter(blocker.seq, slot);
-                            continue;
-                        }
-                    }
+            // Memory disambiguation: the load reads from the youngest older
+            // same-double-word store; until that store has issued, park the
+            // load on it instead of re-polling every cycle.
+            let forward = match self.older_store(op, mem, slot.seq) {
+                Some(blocker) if !blocker.issued => {
+                    self.sched.remove_ready_at(idx);
+                    self.store_queue.add_waiter(blocker.seq, slot);
+                    continue;
                 }
-            }
+                store => store.map(|s| s.complete_at),
+            };
             if !ports.try_issue(op, div_free, fpdiv_free) {
                 // Port conflict: stays in the ready set for next cycle.
                 obs! {
@@ -1172,7 +1174,7 @@ impl<E: SpecEngine> Core<E> {
                 continue;
             }
             self.sched.remove_ready_at(idx);
-            issued.push(slot);
+            issued.push((slot, forward));
         }
         #[cfg(debug_assertions)]
         assert_eq!(
@@ -1182,8 +1184,8 @@ impl<E: SpecEngine> Core<E> {
              cycle {clock} (engine={})",
             self.engine.name()
         );
-        for &slot in &issued {
-            self.issue_inst(slot);
+        for &(slot, forward) in &issued {
+            self.issue_inst(slot, forward);
         }
         obs! {
             self.classify_issue_cycle(
@@ -1224,7 +1226,7 @@ impl<E: SpecEngine> Core<E> {
         mut ports: PortBudget,
         div_free: bool,
         fpdiv_free: bool,
-    ) -> Vec<InstSlot> {
+    ) -> Vec<(InstSlot, Forward)> {
         let clock = self.clock;
         let mut issued = Vec::new();
         for entry in self.rob.iter() {
@@ -1237,23 +1239,28 @@ impl<E: SpecEngine> Core<E> {
             if !entry.src_pregs.iter().all(|&p| self.regs.is_ready(p, clock)) {
                 continue;
             }
-            let blocked = entry.inst.op.is_load()
-                && entry.inst.mem.is_some_and(|m| {
-                    self.store_queue
-                        .youngest_older(m.addr >> 3, entry.seq())
-                        .is_some_and(|s| !s.issued)
-                });
+            let store = self.older_store(entry.inst.op, entry.inst.mem, entry.seq());
+            let blocked = store.is_some_and(|s| !s.issued);
             if !blocked && ports.try_issue(entry.inst.op, div_free, fpdiv_free) {
-                issued.push(entry.slot());
+                issued.push((entry.slot(), store.map(|s| s.complete_at)));
             }
         }
         issued
     }
 
+    /// The youngest older store to the same double-word as `mem`, when
+    /// `op` is a load: the store the load must wait for and then forward
+    /// from.
+    fn older_store(&self, op: OpClass, mem: Option<MemInfo>, seq: u64) -> Option<StoreRecord> {
+        let m = mem.filter(|_| op.is_load())?;
+        self.store_queue.youngest_older(m.addr >> 3, seq)
+    }
+
     /// Issues one selected instruction: resolves its completion cycle
-    /// (a load's through store-to-load forwarding or the d-cache, in issue
-    /// order), marks it issued and wakes its dependents.
-    fn issue_inst(&mut self, slot: InstSlot) {
+    /// (a load's through store-to-load forwarding from `forward`, chosen
+    /// at select, or the d-cache, in issue order), marks it issued and
+    /// wakes its dependents.
+    fn issue_inst(&mut self, slot: InstSlot, forward: Forward) {
         let clock = self.clock;
         let entry = self.rob.get(slot).expect("issued instruction must be in the ROB");
         let op = entry.inst.op;
@@ -1272,16 +1279,7 @@ impl<E: SpecEngine> Core<E> {
         let complete_at = match op {
             OpClass::Load => {
                 let m = mem.expect("loads carry an address");
-                let dword = m.addr >> 3;
-                // Store-to-load forwarding reads the *youngest older*
-                // same-double-word store — the store whose value the load
-                // actually observes — not the first or slowest match.
-                let forwarding = self
-                    .store_queue
-                    .youngest_older(dword, seq)
-                    .filter(|s| s.issued)
-                    .map(|s| s.complete_at);
-                match forwarding {
+                match forward {
                     Some(store_ready) => {
                         self.stats.stlf_forwards += 1;
                         store_ready.max(clock) + self.config.stlf_latency

@@ -52,9 +52,7 @@ pub mod rob;
 pub mod sched;
 pub mod stats;
 
-// lint: exempt(obs-gate, re-export of the always-compiled attribution types)
 pub use attribution::{FetchCycles, IssueCycles, RenameBlock, RenameCycles};
-// lint: exempt(obs-gate, re-export of the always-compiled attribution types)
 pub use attribution::{StageAttribution, WorkCounts};
 pub use cache::{AccessKind, Cache, CacheHierarchy, CacheStats, MemRequest, StridePrefetcher};
 pub use config::CoreConfig;

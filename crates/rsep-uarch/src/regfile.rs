@@ -51,8 +51,6 @@ pub struct PhysRegFile {
     /// register.
     #[cfg(debug_assertions)]
     values: Vec<u64>,
-    /// High-water mark statistics.
-    min_free: usize,
 }
 
 impl PhysRegFile {
@@ -66,7 +64,6 @@ impl PhysRegFile {
         let reserved = if class == RegClass::Int { 1 } else { 0 };
         let mut free_list: Vec<u16> = (reserved as u16..size as u16).rev().collect();
         free_list.shrink_to_fit();
-        let min_free = free_list.len();
         PhysRegFile {
             class,
             ready_at: vec![0; size],
@@ -75,7 +72,6 @@ impl PhysRegFile {
             waiters: vec![Vec::new(); size],
             #[cfg(debug_assertions)]
             values: vec![0; size],
-            min_free,
         }
     }
 
@@ -92,11 +88,6 @@ impl PhysRegFile {
     /// Number of currently free registers.
     pub fn free_count(&self) -> usize {
         self.free_list.len()
-    }
-
-    /// Lowest number of free registers observed since creation.
-    pub fn min_free_observed(&self) -> usize {
-        self.min_free
     }
 
     /// Total number of physical registers.
@@ -122,7 +113,6 @@ impl PhysRegFile {
         // belong to squashed instructions; drop them so they cannot leak
         // into the new producer's wakeup list.
         self.waiters[idx as usize].clear();
-        self.min_free = self.min_free.min(self.free_list.len());
         Some(PhysReg::new(self.class, idx))
     }
 
@@ -139,7 +129,6 @@ impl PhysRegFile {
     pub fn reserve(&mut self, reg: PhysReg) {
         debug_assert_eq!(reg.class(), self.class);
         self.free_list.retain(|&r| r != reg.index());
-        self.min_free = self.min_free.min(self.free_list.len());
         self.acquire(reg);
     }
 
@@ -369,7 +358,6 @@ mod tests {
         let regs: Vec<_> = (0..4).map(|_| prf.allocate().unwrap()).collect();
         assert!(prf.allocate().is_none());
         assert_eq!(prf.free_count(), 0);
-        assert_eq!(prf.min_free_observed(), 0);
         for &r in &regs {
             prf.acquire(r);
         }

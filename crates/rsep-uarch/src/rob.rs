@@ -51,7 +51,6 @@ pub struct InstSlot {
 /// Maximum renamed sources an in-flight instruction can carry: the ISA's
 /// source operands plus the provider register a shared (RSEP-predicted)
 /// instruction depends on (Section IV-F1).
-// lint: exempt(dead-pub-api, documented sizing bound of the rename dependence arrays)
 pub const MAX_SRC_REGS: usize = MAX_SOURCES + 1;
 
 /// Inline list of renamed source registers.
@@ -415,7 +414,6 @@ impl Rob {
 /// Oldest-to-youngest iterator over the in-flight instructions (see
 /// [`Rob::iter`]).
 #[derive(Debug)]
-// lint: exempt(dead-pub-api, iterator type returned by Rob::iter; reached through it)
 pub struct RobIter<'a> {
     rob: &'a Rob,
     next: u64,

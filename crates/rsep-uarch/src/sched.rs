@@ -245,7 +245,6 @@ impl WakeupQueue {
 
 /// One in-flight store, tracked for disambiguation and forwarding.
 #[derive(Debug, Clone, Copy)]
-// lint: exempt(dead-pub-api, element type of StoreQueue's pub entries; reached through it)
 pub struct StoreRecord {
     /// Sequence number of the store.
     pub seq: u64,

@@ -190,15 +190,6 @@ impl SimStats {
         }
     }
 
-    /// Average ROB occupancy.
-    pub fn avg_rob_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.rob_occupancy_sum as f64 / self.cycles as f64
-        }
-    }
-
     /// Accumulates another run's statistics into this one (used to merge
     /// per-checkpoint results; the merge is order-independent, which the
     /// campaign engine relies on for thread-count-invariant results).
@@ -281,7 +272,6 @@ mod tests {
         assert_eq!(stats.branch_mpki(), 0.0);
         assert_eq!(stats.eligible_coverage_fraction(), 0.0);
         assert_eq!(stats.prediction_accuracy(), 1.0);
-        assert_eq!(stats.avg_rob_occupancy(), 0.0);
     }
 
     #[test]
