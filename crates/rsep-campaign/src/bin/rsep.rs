@@ -23,7 +23,9 @@
 //!                     byte-identical to the live campaign's
 //!
 //! flags:
-//!   --jobs N         worker threads (default: all cores)
+//!   --jobs N         worker threads for the cells (default: all cores);
+//!                    `trace record` and the corpus open before `trace
+//!                    replay` use one worker per profile, up to all cores
 //!   --smoke          CI-smoke scale: 6 profiles, 1 × (2K + 8K) instructions
 //!   --json | --csv | --md   report format (default: fixed-width table)
 //!   --benchmarks L   comma-separated profile subset
@@ -619,8 +621,11 @@ fn run_trace(cli: &Cli) -> Result<(), Failure> {
             let spec = cli.configure(trace_campaign(target)?)?;
             let dir = std::path::PathBuf::from(cli.dir.as_deref().expect("validated"));
             let anon = if cli.raw_addresses { AnonScheme::None } else { AnonScheme::KeyedBlock };
+            #[expect(clippy::disallowed_methods, reason = "timing note on stderr only")]
+            let start = std::time::Instant::now();
             let written =
                 rsep_campaign::record_campaign(&dir, &spec, anon).map_err(runtime_error)?;
+            let took = start.elapsed();
             let mut out = String::new();
             for trace in &written {
                 out.push_str(&format!(
@@ -631,6 +636,11 @@ fn run_trace(cli: &Cli) -> Result<(), Failure> {
                 ));
             }
             emit_text(&out);
+            cli.note(format!(
+                "{}: recorded {} trace file(s) in {took:.2?}",
+                spec.id,
+                written.len()
+            ));
         }
         "analyze" => {
             let file = rsep_tracefile::TraceFile::open(std::path::Path::new(target))

@@ -179,6 +179,27 @@ fn progress_heartbeat_leaves_stdout_byte_identical() {
 }
 
 #[test]
+fn trace_record_notes_its_time_on_stderr_unless_quiet() {
+    let dir = std::env::temp_dir().join(format!("rsep-cli-record-note-{}", std::process::id()));
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let args = ["trace", "record", "fig4", "--smoke", "--benchmarks", "mcf,gcc", "--dir", dir_arg];
+    let with = rsep(&args);
+    let mut quiet_args = args.to_vec();
+    quiet_args.push("--quiet");
+    let without = rsep(&quiet_args);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(without.status.success() && with.status.success());
+    assert_eq!(without.stdout, with.stdout, "the note must not change stdout");
+    let stderr = String::from_utf8_lossy(&with.stderr);
+    assert!(stderr.starts_with("figure4: recorded 2 trace file(s) in "), "{stderr}");
+    assert!(
+        without.stderr.is_empty(),
+        "--quiet still wrote: {}",
+        String::from_utf8_lossy(&without.stderr)
+    );
+}
+
+#[test]
 fn the_environment_does_not_change_a_campaign() {
     // Scale and selection come from flags only: variables that once set
     // them must leave the report byte-identical.

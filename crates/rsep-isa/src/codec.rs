@@ -168,6 +168,17 @@ fn decode_branch_kind(bits: u8) -> Result<BranchKind, CodecError> {
 /// Encodes one instruction record, appending it to `out` and advancing the
 /// delta state.
 pub fn encode_inst(state: &mut CodecState, inst: &DynInst, out: &mut Vec<u8>) {
+    encode_inst_with_mem(state, inst, inst.mem, out);
+}
+
+/// [`encode_inst`] with `mem` recorded in place of `inst.mem`: how a
+/// writer stores a translated data address without copying the record.
+pub fn encode_inst_with_mem(
+    state: &mut CodecState,
+    inst: &DynInst,
+    mem: Option<MemInfo>,
+    out: &mut Vec<u8>,
+) {
     let nsrcs = inst.num_sources();
     debug_assert!(nsrcs <= MAX_SOURCES);
     out.push((inst.op.index() as u8) | (nsrcs as u8) << 4);
@@ -175,7 +186,7 @@ pub fn encode_inst(state: &mut CodecState, inst: &DynInst, out: &mut Vec<u8>) {
     if inst.dest.is_some() {
         flags |= F_DEST;
     }
-    if inst.mem.is_some() {
+    if mem.is_some() {
         flags |= F_MEM;
     }
     if inst.branch.is_some() {
@@ -198,7 +209,7 @@ pub fn encode_inst(state: &mut CodecState, inst: &DynInst, out: &mut Vec<u8>) {
     if inst.result != 0 {
         write_varint(out, inst.result);
     }
-    if let Some(mem) = &inst.mem {
+    if let Some(mem) = mem {
         out.push(mem.size);
         write_varint(out, zigzag(delta(state.prev_addr, mem.addr)));
         state.prev_addr = mem.addr;

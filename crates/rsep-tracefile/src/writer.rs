@@ -9,8 +9,8 @@
 
 use std::io::Write;
 
-use rsep_isa::codec::{encode_inst, CodecState};
-use rsep_isa::DynInst;
+use rsep_isa::codec::{encode_inst_with_mem, CodecState};
+use rsep_isa::{DynInst, MemInfo};
 
 use crate::format::{
     anon_offset, encode_footer, encode_header, fnv1a, AnonScheme, SegmentMeta, TraceError,
@@ -74,12 +74,10 @@ impl<W: Write> TraceWriter<W> {
     pub fn write_inst(&mut self, inst: &DynInst) -> Result<(), TraceError> {
         let (_, count, state) =
             self.segment.as_mut().ok_or(TraceError::Corrupt("write outside a segment"))?;
-        let mut inst = inst.clone();
-        if let Some(mem) = &mut inst.mem {
-            mem.addr = mem.addr.wrapping_add(self.anon_offset);
-        }
+        let mem =
+            inst.mem.map(|mem| MemInfo { addr: mem.addr.wrapping_add(self.anon_offset), ..mem });
         self.buf.clear();
-        encode_inst(state, &inst, &mut self.buf);
+        encode_inst_with_mem(state, inst, mem, &mut self.buf);
         self.out.write_all(&self.buf)?;
         self.checksum = fnv1a(self.checksum, &self.buf);
         self.payload_bytes += self.buf.len() as u64;
