@@ -1,71 +1,8 @@
 //! `rsep` — the experiment-campaign CLI of the RSEP reproduction.
 //!
-//! ```text
-//! rsep <command> [flags]
-//!
-//! commands:
-//!   run     full evaluation: table1 + fig1 + fig4 + fig6 + fig7
-//!   fig1    committed-value redundancy (Figure 1)
-//!   fig4    mechanism speedups over baseline (Figure 4)
-//!   fig5    per-mechanism coverage (Figure 5)
-//!   fig6    validation / sampling variants (Figure 6)
-//!   fig7    ideal vs realistic RSEP (Figure 7)
-//!   table1  simulated core configuration (Table I)
-//!   sweep   sensitivity sweeps (history depth, ISRB size, hash width)
-//!   merge   join shard .jsonl files into one report
-//!   trace   record / analyze / replay binary trace files:
-//!             trace record <fig4|fig5|fig6|fig7> --dir D   freeze every
-//!                     profile of the campaign into D/<profile>.rseptrc
-//!             trace analyze <file> [--json]   behaviour distributions
-//!                     (op mix, branch rates, value locality, working sets)
-//!             trace replay <fig4|fig5|fig6|fig7> --dir D   run the grid
-//!                     from the recorded corpus; the report is
-//!                     byte-identical to the live campaign's
-//!
-//! flags:
-//!   --jobs N         worker threads for the cells (default: all cores);
-//!                    `trace record` and the corpus open before `trace
-//!                    replay` use one worker per profile, up to all cores
-//!   --smoke          CI-smoke scale: 6 profiles, 1 × (2K + 8K) instructions
-//!   --json | --csv | --md   report format (default: fixed-width table)
-//!   --benchmarks L   comma-separated profile subset
-//!   --seed N         campaign seed        (default: 42)
-//!   --checkpoints N  checkpoints/profile  (default: 1)
-//!   --warmup N       warm-up instructions (default: 100000)
-//!   --measure N      measured instructions (default: 60000)
-//!   --store jsonl:P  stream cells to an append-only JSONL file; re-running
-//!                    with an existing file resumes, simulating only
-//!                    missing cells (fig4/fig5/fig6/fig7)
-//!   --shard I/N      run only cells I mod N of the grid (requires --store;
-//!                    join the shard files with `rsep merge`)
-//!   --cache-dir D    memoise cells on disk keyed by their content hash
-//!   --cache          same, in the conventional target/rsep-cache directory
-//!   --storage        with `run`: print the per-mechanism storage-budget
-//!                    report (Table II: RSEP ≈10.1 KB vs D-VTAGE ≈256 KB)
-//!                    and exit without simulating
-//!   --attribution    with `run`: simulate the baseline core instrumented
-//!                    (needs a build with the `obs` feature) and print the
-//!                    per-stage cycle-attribution table instead of the
-//!                    evaluation reports; honours --benchmarks / --seed /
-//!                    --checkpoints / --warmup / --measure / --smoke
-//!   --dir D          corpus directory for `trace record` / `trace replay`
-//!   --raw-addresses  with `trace record`: store data addresses verbatim
-//!                    instead of applying the keyed block translation
-//!   --quiet          suppress progress (`[done/total] cells  N cells/s
-//!                    ETA Ts`) and timing on stderr
-//!   --version        print the version and exit
-//! ```
-//!
-//! Reports go to stdout; progress and timing go to stderr, so piping stdout
-//! yields byte-identical output at any `--jobs` value, with or without
-//! `--quiet` — and a sharded run merged with `rsep merge` is
-//! byte-identical to an unsharded run. The flags are the only
-//! configuration: no environment variable changes a campaign.
-//!
-//! Exit codes: 0 success, 1 runtime failure (store I/O, corrupt or
-//! mismatched files), 2 usage error, 3 when a report was emitted in full
-//! but some of its cells failed (each is named by a `warning:` line on
-//! stderr).
+//! `rsep --help` prints the whole reference: every command and flag with
+//! its default, where reports and progress go, and the exit codes. That
+//! text is the `HELP` constant below, kept in this one place.
 
 #![forbid(unsafe_code)]
 
@@ -133,15 +70,74 @@ struct Cli {
     failed_cells: Cell<usize>,
 }
 
-fn usage() -> &'static str {
-    "usage: rsep <run|fig1|fig4|fig5|fig6|fig7|table1|sweep|merge|trace> \
-     [--jobs N] [--smoke] [--json|--csv|--md] [--benchmarks list] \
-     [--seed N] [--checkpoints N] [--warmup N] [--measure N] \
-     [--store jsonl:path] [--shard i/n] [--cache-dir dir | --cache] [--storage] \
-     [--attribution] [--quiet] [--version]\n\
-     trace subcommands: rsep trace record <campaign> --dir D | \
-     rsep trace analyze <file> [--json] | rsep trace replay <campaign> --dir D"
-}
+/// The reference `rsep --help` prints; a missing or unknown command prints
+/// it on stderr.
+const HELP: &str = r#"usage: rsep <command> [flags]
+
+commands:
+  run     full evaluation: table1 + fig1 + fig4 + fig6 + fig7
+  fig1    committed-value redundancy (Figure 1)
+  fig4    mechanism speedups over baseline (Figure 4)
+  fig5    per-mechanism coverage (Figure 5)
+  fig6    validation / sampling variants (Figure 6)
+  fig7    ideal vs realistic RSEP (Figure 7)
+  table1  simulated core configuration (Table I)
+  sweep   sensitivity sweeps (history depth, ISRB size, hash width)
+  merge   join shard .jsonl files into one report: rsep merge <file>...
+  trace   record / analyze / replay binary trace files:
+            trace record <fig4|fig5|fig6|fig7> --dir D   freeze every
+                    profile of the campaign into D/<profile>.rseptrc
+            trace analyze <file> [--json]   behaviour distributions
+                    (op mix, branch rates, value locality, working sets)
+            trace replay <fig4|fig5|fig6|fig7> --dir D   run the grid
+                    from the recorded corpus; the report is
+                    byte-identical to the live campaign's
+
+flags:
+  --jobs N         worker threads for the cells (default: all cores);
+                   `trace record` and the corpus open before `trace
+                   replay` use one worker per profile, up to all cores
+  --smoke          CI-smoke scale: 6 profiles, 1 x (2K + 8K) instructions
+  --json | --csv | --md | --markdown   report format (default:
+                   fixed-width table)
+  --benchmarks L   comma-separated profile subset
+  --seed N         campaign seed        (default: 42)
+  --checkpoints N  checkpoints/profile  (default: 1)
+  --warmup N       warm-up instructions (default: 100000)
+  --measure N      measured instructions (default: 60000)
+  --store jsonl:P  stream cells to an append-only JSONL file; re-running
+                   with an existing file resumes, simulating only
+                   missing cells (fig4/fig5/fig6/fig7)
+  --shard I/N      run only cells I mod N of the grid (requires --store;
+                   join the shard files with `rsep merge`)
+  --cache-dir D    memoise cells on disk keyed by their content hash
+  --cache          same, in the conventional target/rsep-cache directory
+  --storage        with `run`: print the per-mechanism storage-budget
+                   report (Table II: RSEP ~10.1 KB vs D-VTAGE ~256 KB)
+                   and exit without simulating
+  --attribution    with `run`: simulate the baseline core instrumented
+                   (needs a build with the `obs` feature) and print the
+                   per-stage cycle-attribution table instead of the
+                   evaluation reports; honours --benchmarks / --seed /
+                   --checkpoints / --warmup / --measure / --smoke
+  --dir D          corpus directory for `trace record` / `trace replay`
+  --raw-addresses  with `trace record`: store data addresses verbatim
+                   instead of applying the keyed block translation
+  --quiet | -q     suppress progress (`[done/total] cells  N cells/s
+                   ETA Ts`) and timing on stderr
+  --help | -h      print this reference and exit
+  --version | -V   print the version and exit
+
+Reports go to stdout; progress and timing go to stderr, so piping stdout
+yields byte-identical output at any --jobs value, with or without
+--quiet, and a sharded run merged with `rsep merge` is byte-identical to
+an unsharded run. The flags are the only configuration: no environment
+variable changes a campaign.
+
+exit codes: 0 success, 1 runtime failure (store I/O, corrupt or
+mismatched files), 2 usage error, 3 when a report was emitted in full
+but some of its cells failed (each is named by a `warning:` line on
+stderr)"#;
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
@@ -239,7 +235,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--raw-addresses" => cli.raw_addresses = true,
             "--storage" => cli.storage = true,
             "--attribution" => cli.attribution = true,
-            "--help" | "-h" => return Err(usage().to_string()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             command if cli.command.is_empty() => cli.command = command.to_string(),
             file if cli.command == "merge" || cli.command == "trace" => {
@@ -249,7 +244,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     }
     if cli.command.is_empty() {
-        return Err(usage().to_string());
+        return Err(HELP.to_string());
     }
     Ok(cli)
 }
@@ -725,7 +720,7 @@ fn run_command(cli: &Cli) -> Result<(), Failure> {
                 cli.run_grid(cli.configure(spec)?)?;
             }
         }
-        other => return Err(usage_error(format!("unknown command '{other}'\n{}", usage()))),
+        other => return Err(usage_error(format!("unknown command '{other}'\n{HELP}"))),
     }
     Ok(())
 }
@@ -733,7 +728,7 @@ fn run_command(cli: &Cli) -> Result<(), Failure> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
+        println!("{HELP}");
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--version" || a == "-V") {

@@ -268,7 +268,26 @@ fn fig5_reports_both_mechanism_prefixes() {
 fn help_exits_0() {
     let output = rsep(&["--help"]);
     assert!(output.status.success());
-    assert!(String::from_utf8_lossy(&output.stdout).contains("usage: rsep"));
+    let text = String::from_utf8_lossy(&output.stdout);
+    assert!(text.contains("usage: rsep"));
+    // Every flag the CLI matches on (the quoted `-x` / `--xyz` literals of
+    // its source) must be documented, spelled out as a word of its own.
+    let words: Vec<&str> =
+        text.split(|c: char| c.is_whitespace() || "|,/()[]`".contains(c)).collect();
+    let source = include_str!("../src/bin/rsep.rs");
+    let flags: Vec<&str> = source
+        .split('"')
+        .filter(|s| {
+            let name = s.trim_start_matches('-');
+            (1..=2).contains(&(s.len() - name.len()))
+                && !name.is_empty()
+                && name.chars().all(|c| c.is_ascii_alphabetic() || c == '-')
+        })
+        .collect();
+    assert!(flags.len() >= 20, "found only {flags:?} in the CLI source");
+    for flag in flags {
+        assert!(words.contains(&flag), "`rsep --help` does not document {flag}");
+    }
 }
 
 #[test]

@@ -115,13 +115,6 @@ impl DynInst {
     pub fn num_sources(&self) -> usize {
         self.srcs.iter().filter(|s| s.is_some()).count()
     }
-
-    /// Returns `true` if the result of this instruction is zero (the
-    /// property exploited by zero prediction, Section III).
-    #[inline]
-    pub fn result_is_zero(&self) -> bool {
-        self.produces_register() && self.result == 0
-    }
 }
 
 impl fmt::Display for DynInst {
@@ -223,7 +216,6 @@ mod tests {
         let i = DynInst::simple(0, 0x400000, OpClass::IntAlu, ArchReg::int(3), 7);
         assert!(i.produces_register());
         assert!(i.eligible_for_prediction());
-        assert!(!i.result_is_zero());
         assert_eq!(i.num_sources(), 0);
     }
 
@@ -232,7 +224,6 @@ mod tests {
         let i = DynInst::simple(0, 0x400000, OpClass::IntAlu, ArchReg::ZERO, 0);
         assert!(!i.produces_register());
         assert!(!i.eligible_for_prediction());
-        assert!(!i.result_is_zero());
     }
 
     #[test]
@@ -289,13 +280,5 @@ mod tests {
         assert!(s.contains("int_alu"));
         assert!(s.contains("v2"));
         assert_eq!(ArchReg::fp(2).class(), RegClass::Fp);
-    }
-
-    #[test]
-    fn result_is_zero_detection() {
-        let z = DynInst::simple(0, 0, OpClass::Load, ArchReg::int(1), 0);
-        assert!(z.result_is_zero());
-        let nz = DynInst::simple(0, 0, OpClass::Load, ArchReg::int(1), 1);
-        assert!(!nz.result_is_zero());
     }
 }

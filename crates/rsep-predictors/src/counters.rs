@@ -1,4 +1,4 @@
-//! Saturating and probabilistic confidence counters.
+//! Probabilistic confidence counters.
 //!
 //! The paper (following Perais & Seznec \[7\] and Riley & Zilles \[32\]) uses
 //! 3-bit *probabilistic* confidence counters: each successful prediction
@@ -7,63 +7,6 @@
 //! before the counter saturates). Prediction is only used when the counter
 //! is saturated, keeping the misprediction rate very low (>99.5% accuracy in
 //! Section VI-B).
-
-/// A classic saturating counter in `0..=max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SaturatingCounter {
-    value: u16,
-    max: u16,
-}
-
-impl SaturatingCounter {
-    /// Creates a counter saturating at `max`, starting at 0.
-    pub fn new(max: u16) -> SaturatingCounter {
-        SaturatingCounter { value: 0, max }
-    }
-
-    /// Creates a counter with an initial value.
-    pub fn with_value(max: u16, value: u16) -> SaturatingCounter {
-        SaturatingCounter { value: value.min(max), max }
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn value(&self) -> u16 {
-        self.value
-    }
-
-    /// Maximum value.
-    #[inline]
-    pub fn max(&self) -> u16 {
-        self.max
-    }
-
-    /// Increments, saturating at the maximum.
-    #[inline]
-    pub fn increment(&mut self) {
-        if self.value < self.max {
-            self.value += 1;
-        }
-    }
-
-    /// Decrements, saturating at zero.
-    #[inline]
-    pub fn decrement(&mut self) {
-        self.value = self.value.saturating_sub(1);
-    }
-
-    /// Resets to zero.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-
-    /// Returns `true` when the counter has reached its maximum.
-    #[inline]
-    pub fn is_saturated(&self) -> bool {
-        self.value == self.max
-    }
-}
 
 /// A small xorshift PRNG used by probabilistic counters.
 ///
@@ -175,14 +118,6 @@ impl ProbabilisticCounter {
         self.value == self.max
     }
 
-    /// Returns `true` when the counter is at or above the given raw
-    /// threshold (used for the `start_train` sampling threshold of
-    /// Section IV-B3).
-    #[inline]
-    pub fn at_least(&self, threshold: u8) -> bool {
-        self.value >= threshold
-    }
-
     /// Storage cost of this counter in bits.
     pub fn storage_bits(&self) -> u32 {
         8 - self.max.leading_zeros()
@@ -246,30 +181,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn saturating_counter_saturates_both_ways() {
-        let mut c = SaturatingCounter::new(3);
-        assert_eq!(c.value(), 0);
-        c.decrement();
-        assert_eq!(c.value(), 0);
-        for _ in 0..10 {
-            c.increment();
-        }
-        assert_eq!(c.value(), 3);
-        assert!(c.is_saturated());
-        c.decrement();
-        assert_eq!(c.value(), 2);
-        c.reset();
-        assert_eq!(c.value(), 0);
-        assert_eq!(c.max(), 3);
-    }
-
-    #[test]
-    fn with_value_clamps() {
-        let c = SaturatingCounter::with_value(3, 9);
-        assert_eq!(c.value(), 3);
-    }
-
-    #[test]
     fn lfsr_produces_varied_values() {
         let mut l = Lfsr::new(42);
         let a = l.next_u64();
@@ -317,16 +228,6 @@ mod tests {
         c.record_incorrect();
         assert_eq!(c.value(), 0);
         assert!(!c.is_saturated());
-    }
-
-    #[test]
-    fn at_least_threshold() {
-        let mut lfsr = Lfsr::new(3);
-        let mut c = ProbabilisticCounter::new(3, 1);
-        assert!(c.at_least(0));
-        assert!(!c.at_least(1));
-        c.record_correct(&mut lfsr);
-        assert!(c.at_least(1));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod tage;
 pub mod zero;
 
 pub use btb::{Btb, BtbConfig, ReturnAddressStack};
-pub use counters::{ConfidenceParams, Lfsr, ProbabilisticCounter, SaturatingCounter};
+pub use counters::{ConfidenceParams, Lfsr, ProbabilisticCounter};
 pub use distance::{DistancePrediction, DistancePredictor, DistancePredictorConfig};
 pub use dvtage::{Dvtage, DvtageConfig, ValuePrediction};
 pub use history::{FoldStateSoa, FoldedHistory, GlobalHistory};

@@ -41,6 +41,6 @@ pub mod writer;
 pub use analyze::{analyze, TraceReport};
 pub use format::{AnonScheme, SegmentMeta, TraceError, TraceHeader};
 pub use reader::{SegmentSource, TraceFile};
-pub use record::{header_for, record_profile, RECORD_SLACK};
+pub use record::{header_for, record_profile};
 pub use sha256::{sha256, sha256_hex};
 pub use writer::TraceWriter;

@@ -24,7 +24,7 @@ use crate::writer::TraceWriter;
 /// the final cycles and diverge from the live run. 4096 is an order of
 /// magnitude above the deepest in-flight window any shipped
 /// configuration can hold.
-pub const RECORD_SLACK: u64 = 4096;
+const RECORD_SLACK: u64 = 4096;
 
 /// The header [`record_profile`] stamps for a given recording request.
 pub fn header_for(

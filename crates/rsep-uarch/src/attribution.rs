@@ -1,7 +1,7 @@
 //! Per-stage cycle attribution (the `obs` observability feature).
 //!
 //! [`StageAttribution`] answers "where do the simulated cycles go?" — the
-//! question the single opaque throughput numbers in `BENCH_*.json` cannot.
+//! question a single throughput figure (instructions per second) cannot.
 //! Every simulated cycle is classified **exactly once per stage** (fetch,
 //! rename, issue) into a work-or-stall class, and the commit stage records
 //! a commit-slot utilization histogram; each per-stage breakdown therefore

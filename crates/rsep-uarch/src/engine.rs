@@ -131,11 +131,6 @@ impl Disposition {
                 | Disposition::ValuePred { correct: false }
         )
     }
-
-    /// Returns `true` if the instruction was covered by any mechanism.
-    pub fn is_covered(self) -> bool {
-        self != Disposition::None
-    }
 }
 
 impl From<RenameAction> for Disposition {
@@ -248,13 +243,6 @@ mod tests {
         assert!(!Disposition::DistPred { correct: true }.is_misprediction());
         assert!(!Disposition::MoveElim.is_misprediction());
         assert!(!Disposition::None.is_misprediction());
-    }
-
-    #[test]
-    fn coverage_classification() {
-        assert!(!Disposition::None.is_covered());
-        assert!(Disposition::MoveElim.is_covered());
-        assert!(Disposition::ValuePred { correct: true }.is_covered());
     }
 
     #[test]
