@@ -7,8 +7,8 @@
 #![forbid(unsafe_code)]
 
 use rsep_campaign::{
-    merge_stored, presets, CachedStore, Campaign, CampaignResult, CampaignSpec, Executor,
-    JsonlStore, MemoryStore, ReportFormat, ResultStore, Shard,
+    presets, Campaign, CampaignResult, CampaignSpec, Executor, JsonlStore, MemoryStore,
+    ReportFormat, ResultStore,
 };
 use rsep_core::MechanismConfig;
 use rsep_predictors::{BtbConfig, TageConfig};
@@ -38,18 +38,11 @@ fn runtime_error(message: impl Into<String>) -> Failure {
     Failure { message: message.into(), code: 1 }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum StoreChoice {
-    Memory,
-    Jsonl(String),
-    Cached(String),
-}
-
 #[derive(Debug)]
 struct Cli {
     command: String,
-    /// Positional arguments after the command (shard files for `merge`,
-    /// action and target for `trace`).
+    /// Positional arguments after the command (action and target for
+    /// `trace`).
     files: Vec<String>,
     jobs: Option<usize>,
     smoke: bool,
@@ -60,8 +53,8 @@ struct Cli {
     checkpoints: Option<usize>,
     warmup: Option<u64>,
     measure: Option<u64>,
-    store: StoreChoice,
-    shard: Option<Shard>,
+    /// The `--store jsonl:` path; without one, nothing persists.
+    store: Option<String>,
     storage: bool,
     attribution: bool,
     dir: Option<String>,
@@ -83,7 +76,6 @@ commands:
   fig7    ideal vs realistic RSEP (Figure 7)
   table1  simulated core configuration (Table I)
   sweep   sensitivity sweeps (history depth, ISRB size, hash width)
-  merge   join shard .jsonl files into one report: rsep merge <file>...
   trace   record / analyze / replay binary trace files:
             trace record <fig4|fig5|fig6|fig7> --dir D   freeze every
                     profile of the campaign into D/<profile>.rseptrc
@@ -108,10 +100,6 @@ flags:
   --store jsonl:P  stream cells to an append-only JSONL file; re-running
                    with an existing file resumes, simulating only
                    missing cells (fig4/fig5/fig6/fig7)
-  --shard I/N      run only cells I mod N of the grid (requires --store;
-                   join the shard files with `rsep merge`)
-  --cache-dir D    memoise cells on disk keyed by their content hash
-  --cache          same, in the conventional target/rsep-cache directory
   --storage        with `run`: print the per-mechanism storage-budget
                    report (Table II: RSEP ~10.1 KB vs D-VTAGE ~256 KB)
                    and exit without simulating
@@ -130,9 +118,8 @@ flags:
 
 Reports go to stdout; progress and timing go to stderr, so piping stdout
 yields byte-identical output at any --jobs value, with or without
---quiet, and a sharded run merged with `rsep merge` is byte-identical to
-an unsharded run. The flags are the only configuration: no environment
-variable changes a campaign.
+--quiet. The flags are the only configuration: no environment variable
+changes a campaign.
 
 exit codes: 0 success, 1 runtime failure (store I/O, corrupt or
 mismatched files), 2 usage error, 3 when a report was emitted in full
@@ -152,8 +139,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         checkpoints: None,
         warmup: None,
         measure: None,
-        store: StoreChoice::Memory,
-        shard: None,
+        store: None,
         storage: false,
         attribution: false,
         dir: None,
@@ -210,36 +196,18 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 if path.is_empty() {
                     return Err("--store jsonl: needs a file path".into());
                 }
-                if !matches!(cli.store, StoreChoice::Memory) {
-                    return Err(
-                        "only one store may be selected (--store, --cache-dir or --cache)".into()
-                    );
+                if cli.store.is_some() {
+                    return Err("only one --store may be selected".into());
                 }
-                cli.store = StoreChoice::Jsonl(path.to_string());
+                cli.store = Some(path.to_string());
             }
-            "--cache-dir" | "--cache" => {
-                let dir = if arg == "--cache-dir" {
-                    value_of("--cache-dir")?
-                } else {
-                    CachedStore::default_dir().display().to_string()
-                };
-                if !matches!(cli.store, StoreChoice::Memory) {
-                    return Err(
-                        "only one store may be selected (--store, --cache-dir or --cache)".into()
-                    );
-                }
-                cli.store = StoreChoice::Cached(dir);
-            }
-            "--shard" => cli.shard = Some(Shard::parse(&value_of("--shard")?)?),
             "--dir" => cli.dir = Some(value_of("--dir")?),
             "--raw-addresses" => cli.raw_addresses = true,
             "--storage" => cli.storage = true,
             "--attribution" => cli.attribution = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             command if cli.command.is_empty() => cli.command = command.to_string(),
-            file if cli.command == "merge" || cli.command == "trace" => {
-                cli.files.push(file.to_string())
-            }
+            file if cli.command == "trace" => cli.files.push(file.to_string()),
             extra => return Err(format!("unexpected argument '{extra}'")),
         }
     }
@@ -294,7 +262,7 @@ impl Cli {
     }
 
     /// Emits a grid campaign's report(s), dispatching on the campaign id
-    /// (shared by live runs and `merge`, so both render identically).
+    /// (shared by live runs and `trace replay`, so both render identically).
     fn emit_grid(&self, result: &CampaignResult) {
         // Failed (wedged) cells are part of the record — surface them even
         // with --quiet; their IPC contribution is zero.
@@ -319,44 +287,30 @@ impl Cli {
     }
 
     /// Runs one grid campaign through the selected store and emits its
-    /// report (unless the run is a partial shard, whose report comes later
-    /// from `rsep merge`).
+    /// report.
     fn run_grid(&self, spec: CampaignSpec) -> Result<(), Failure> {
         let store_error = |e: rsep_campaign::StoreError| runtime_error(e.to_string());
         let mut resumed_from = None;
         let mut store: Box<dyn ResultStore> = match &self.store {
-            StoreChoice::Memory => Box::new(MemoryStore),
-            StoreChoice::Jsonl(path) => {
+            None => Box::new(MemoryStore),
+            Some(path) => {
                 let store = JsonlStore::open(path).map_err(store_error)?;
                 if store.resumed_cells() > 0 {
                     resumed_from = Some(path);
                 }
                 Box::new(store)
             }
-            StoreChoice::Cached(dir) => Box::new(CachedStore::open(dir).map_err(store_error)?),
         };
         let run = Campaign::new(self.executor())
-            .run_stored(&spec, store.as_mut(), self.shard)
+            .run_stored(&spec, store.as_mut(), None)
             .map_err(store_error)?;
         if let Some(path) = resumed_from {
             self.note(format!("{}: resumed {path}: {} cells already stored", spec.id, run.hits));
         }
-        match (&run.result, self.shard, &self.store) {
-            (Some(result), _, _) => {
-                self.emit_grid(result);
-                self.note(result.timing_summary());
-            }
-            (None, Some(shard), StoreChoice::Jsonl(path)) => self.note(format!(
-                "{}: shard {}/{} complete: {} cells in {path}; \
-                 run the other shards, then `rsep merge`",
-                spec.id,
-                shard.index,
-                shard.count,
-                run.hits + run.executed
-            )),
-            _ => unreachable!("only a sharded JSONL run leaves cells unresolved"),
-        }
-        if self.store != StoreChoice::Memory {
+        let result = run.result.as_ref().expect("a completed run resolves every cell");
+        self.emit_grid(result);
+        self.note(result.timing_summary());
+        if self.store.is_some() {
             self.note(run.store_summary(&spec.id));
         }
         Ok(())
@@ -423,29 +377,12 @@ fn table1_text() -> String {
 /// Rejects flag combinations that would silently do the wrong thing.
 fn validate(cli: &Cli) -> Result<(), Failure> {
     let grid_command = matches!(cli.command.as_str(), "fig4" | "fig5" | "fig6" | "fig7");
-    if matches!(cli.store, StoreChoice::Jsonl(_)) && !grid_command {
+    if cli.store.is_some() && !grid_command {
         return Err(usage_error(format!(
             "--store is only supported for single-grid commands (fig4/fig5/fig6/fig7), \
              not '{}'",
             cli.command
         )));
-    }
-    if cli.shard.is_some() && !matches!(cli.store, StoreChoice::Jsonl(_)) {
-        return Err(usage_error(
-            "--shard requires --store jsonl:<path> (each shard writes its own file)",
-        ));
-    }
-    if matches!(cli.store, StoreChoice::Cached(_))
-        && !grid_command
-        && !matches!(cli.command.as_str(), "run" | "sweep")
-    {
-        return Err(usage_error(format!(
-            "--cache-dir is not supported for '{}' (nothing to memoise)",
-            cli.command
-        )));
-    }
-    if cli.command == "merge" && cli.files.is_empty() {
-        return Err(usage_error("merge needs at least one shard .jsonl file"));
     }
     if cli.command == "trace" {
         match cli.files.first().map(String::as_str) {
@@ -465,9 +402,6 @@ fn validate(cli: &Cli) -> Result<(), Failure> {
                 }
             }
             _ => return Err(usage_error("trace needs a subcommand: record, analyze or replay")),
-        }
-        if !matches!(cli.store, StoreChoice::Memory) || cli.shard.is_some() {
-            return Err(usage_error("--store/--shard/--cache are not supported with 'trace'"));
         }
     } else if cli.dir.is_some() || cli.raw_addresses {
         return Err(usage_error("--dir/--raw-addresses are only supported with 'trace'"));
@@ -680,16 +614,6 @@ fn run_command(cli: &Cli) -> Result<(), Failure> {
     match cli.command.as_str() {
         "table1" => emit_text(&table1_text()),
         "trace" => run_trace(cli)?,
-        "merge" => {
-            let result = merge_stored(&cli.files).map_err(|e| runtime_error(e.to_string()))?;
-            cli.emit_grid(&result);
-            cli.note(format!(
-                "{}: merged {} cells from {} shard file(s)",
-                result.id,
-                result.exec.cells,
-                cli.files.len()
-            ));
-        }
         "fig1" => {
             let spec = cli.configure(presets::fig1())?;
             let (exp, exec) = Campaign::new(cli.executor()).run_redundancy(&spec);

@@ -86,7 +86,7 @@ impl Executor {
 
     /// Executes only `indices` (a subset of the `0..total` grid) and places
     /// the outputs into an index-aligned slot vector; the other slots stay
-    /// `None`. This is how a resumed or sharded campaign skips cells a
+    /// `None`. This is how a resumed campaign skips cells a
     /// [`ResultStore`](crate::store::ResultStore) already holds.
     ///
     /// `sink` observes every completed cell **in completion order**, on the

@@ -17,8 +17,7 @@
 //! * [`store`] — the pluggable results layer: every cell has a
 //!   content-addressed [`CellKey`], and a [`ResultStore`] receives cells as
 //!   they complete ([`MemoryStore`] for today's in-memory behaviour,
-//!   [`JsonlStore`] for crash-resumable streaming runs and cross-machine
-//!   sharding, [`CachedStore`] for disk memoisation across campaigns);
+//!   [`JsonlStore`] for crash-resumable streaming runs);
 //! * [`report`] — JSON / CSV / markdown / fixed-width table emitters built
 //!   on `rsep-stats`;
 //! * [`presets`] — the paper's figure campaigns (Figures 1, 4, 6, 7 and
@@ -36,19 +35,20 @@
 //! println!("{}", speedups.to_table());
 //! ```
 //!
-//! # Resumable / sharded runs
+//! # Resumable runs
 //!
 //! ```no_run
-//! use rsep_campaign::{presets, Campaign, JsonlStore, Shard};
+//! use rsep_campaign::{presets, Campaign, JsonlStore};
 //!
 //! let spec = presets::fig4().smoke();
-//! // Machine 0 of 2 runs half the cells, streaming them to a shard file;
-//! // `rsep merge` (or `merge_stored`) joins the shards afterwards.
-//! let mut store = JsonlStore::open("fig4-shard0.jsonl").unwrap();
-//! let run = Campaign::with_jobs(2)
-//!     .run_stored(&spec, &mut store, Some(Shard { index: 0, count: 2 }))
-//!     .unwrap();
-//! assert!(run.result.is_none()); // partial grid: report comes from merge
+//! // Cells stream into the file as they complete. If the run is killed,
+//! // reopening the same file serves the stored cells and simulates only
+//! // the rest.
+//! let mut store = JsonlStore::open("fig4.jsonl").unwrap();
+//! let resumed = store.resumed_cells();
+//! let run = Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
+//! assert_eq!(run.hits, resumed);
+//! assert_eq!(run.hits + run.executed, spec.cell_count());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,10 +66,7 @@ pub use executor::{ExecStats, Executor};
 pub use replay::{open_corpus, record_campaign, replay_campaign, RecordedTrace};
 pub use report::ReportFormat;
 pub use spec::CampaignSpec;
-pub use store::{
-    read_jsonl, CachedStore, CampaignHeader, CellKey, JsonlStore, MemoryStore, ResultStore,
-    StoreError,
-};
+pub use store::{CampaignHeader, CellKey, JsonlStore, MemoryStore, ResultStore, StoreError};
 
 use rsep_core::{
     checkpoint_seed, run_checkpoint, BenchmarkResult, CheckpointResult, MechanismConfig,
@@ -77,8 +74,7 @@ use rsep_core::{
 };
 use rsep_stats::{speedup_percent, Experiment};
 use rsep_trace::TraceGenerator;
-use std::path::Path;
-use std::time::Duration;
+use std::convert::Infallible;
 
 /// One benchmark row of a campaign: the baseline (when run) and one result
 /// per mechanism, in spec order.
@@ -165,54 +161,18 @@ impl CampaignResult {
     }
 }
 
-/// A deterministic slice of a campaign grid for cross-machine runs:
-/// shard `index` of `count` owns every cell whose grid index is congruent
-/// to `index` modulo `count` (round-robin, so every shard gets a balanced
-/// mix of profiles and mechanisms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This shard's position, `0 <= index < count`.
-    pub index: usize,
-    /// Total number of shards.
-    pub count: usize,
-}
-
-impl Shard {
-    /// Parses the CLI form `i/n` (e.g. `0/4`).
-    pub fn parse(text: &str) -> Result<Shard, String> {
-        let err = || format!("bad shard '{text}': expected i/n with 0 <= i < n, e.g. 0/4");
-        let (index, count) = text.split_once('/').ok_or_else(err)?;
-        let shard = Shard {
-            index: index.trim().parse().map_err(|_| err())?,
-            count: count.trim().parse().map_err(|_| err())?,
-        };
-        if shard.count == 0 || shard.index >= shard.count {
-            return Err(err());
-        }
-        Ok(shard)
-    }
-
-    /// Whether this shard owns the given cell index.
-    pub fn owns(&self, cell: usize) -> bool {
-        cell % self.count == self.index
-    }
-}
-
 /// Outcome of a store-backed campaign run ([`Campaign::run_stored`]).
 #[derive(Debug, Clone)]
 pub struct StoredRun {
-    /// The reassembled grid — `Some` exactly when every cell of the grid
-    /// was resolved (no shard restriction, or a single-shard run). Sharded
-    /// runs return `None`; the report comes from [`merge_stored`].
+    /// The reassembled grid; always `Some`. The `Option` stays for
+    /// perfbench's call site and goes with ROADMAP item 15.
     pub result: Option<CampaignResult>,
     /// Executor instrumentation over the cells actually simulated.
     pub exec: ExecStats,
     /// Cells served by the store without simulating.
     pub hits: usize,
-    /// Cells simulated (store misses within this run's shard).
+    /// Cells simulated (store misses).
     pub executed: usize,
-    /// Total cells of the full campaign grid.
-    pub total: usize,
 }
 
 impl StoredRun {
@@ -239,141 +199,6 @@ pub(crate) fn expand_mechanisms(spec: &CampaignSpec) -> Vec<MechanismConfig> {
     }
     mechanisms.extend(spec.mechanisms.iter().cloned());
     mechanisms
-}
-
-/// Reassembles per-benchmark results from index-ordered checkpoint cells.
-///
-/// `labels` is the expanded mechanism axis (baseline first when `baseline`
-/// is set); `outputs` must hold `benchmarks × labels × n_checkpoints` cells
-/// in grid-index order. Shared by the live run path and by
-/// [`CampaignResult::from_stored`], so a merged shard report is assembled by
-/// exactly the code that assembles a live run.
-fn assemble_rows(
-    benchmarks: &[String],
-    labels: &[String],
-    baseline: bool,
-    n_checkpoints: usize,
-    outputs: Vec<CheckpointResult>,
-) -> Vec<ProfileResults> {
-    let mut outputs = outputs.into_iter();
-    let mut rows = Vec::with_capacity(benchmarks.len());
-    for benchmark in benchmarks {
-        let mut base = None;
-        let mut results = Vec::new();
-        for (m, label) in labels.iter().enumerate() {
-            let checkpoints: Vec<CheckpointResult> = outputs.by_ref().take(n_checkpoints).collect();
-            let result =
-                BenchmarkResult::from_checkpoints(benchmark.clone(), label.clone(), checkpoints);
-            if baseline && m == 0 {
-                base = Some(result);
-            } else {
-                results.push(result);
-            }
-        }
-        rows.push(ProfileResults { benchmark: benchmark.clone(), baseline: base, results });
-    }
-    rows
-}
-
-impl CampaignResult {
-    /// Rebuilds a full campaign result from stored cells (resume / merge).
-    ///
-    /// Every cell of the header's grid must be present exactly once-or-more
-    /// (duplicates across shard files are fine — cells are pure, so copies
-    /// are identical); missing cells are an error naming how many are
-    /// absent.
-    pub fn from_stored(
-        header: &CampaignHeader,
-        cells: Vec<(usize, CheckpointResult)>,
-    ) -> Result<CampaignResult, StoreError> {
-        let grid = header.profiles.len() * header.mechanisms.len() * header.checkpoints;
-        if grid != header.cells {
-            return Err(StoreError {
-                path: None,
-                message: format!(
-                    "corrupt header for campaign '{}': {} profiles x {} mechanisms x {} \
-                     checkpoints is {grid} cells, but the header claims {}",
-                    header.id,
-                    header.profiles.len(),
-                    header.mechanisms.len(),
-                    header.checkpoints,
-                    header.cells
-                ),
-            });
-        }
-        let mut slots: Vec<Option<CheckpointResult>> = vec![None; header.cells];
-        for (index, result) in cells {
-            if index >= header.cells {
-                return Err(StoreError {
-                    path: None,
-                    message: format!(
-                        "cell index {index} is outside the {}-cell grid of campaign '{}'",
-                        header.cells, header.id
-                    ),
-                });
-            }
-            slots[index] = Some(result);
-        }
-        let missing = slots.iter().filter(|s| s.is_none()).count();
-        if missing > 0 {
-            return Err(StoreError {
-                path: None,
-                message: format!(
-                    "campaign '{}' is incomplete: {missing} of {} cells missing \
-                     (are all shard files listed?)",
-                    header.id, header.cells
-                ),
-            });
-        }
-        let outputs: Vec<CheckpointResult> = slots.into_iter().flatten().collect();
-        let rows = assemble_rows(
-            &header.profiles,
-            &header.mechanisms,
-            header.baseline,
-            header.checkpoints,
-            outputs,
-        );
-        let exec =
-            ExecStats { cells: header.cells, jobs: 0, wall: Duration::ZERO, busy: Duration::ZERO };
-        Ok(CampaignResult { id: header.id.clone(), rows, exec })
-    }
-}
-
-/// Joins shard store files into one complete campaign result.
-///
-/// All files must carry the same campaign header (same spec fingerprint);
-/// the merged grid is assembled index-ordered, so the resulting reports are
-/// byte-identical to an unsharded run of the same spec.
-pub fn merge_stored(paths: &[impl AsRef<Path>]) -> Result<CampaignResult, StoreError> {
-    if paths.is_empty() {
-        return Err(StoreError { path: None, message: "no shard files to merge".into() });
-    }
-    let mut merged_header: Option<CampaignHeader> = None;
-    let mut cells: Vec<(usize, CheckpointResult)> = Vec::new();
-    for path in paths {
-        let path = path.as_ref();
-        let (header, shard_cells) = read_jsonl(path)?;
-        match &merged_header {
-            None => merged_header = Some(header),
-            Some(existing) => {
-                if *existing != header {
-                    return Err(StoreError::new(
-                        path,
-                        format!(
-                            "shard belongs to campaign '{}' (spec {:016x}), but earlier shards \
-                             are from '{}' (spec {:016x})",
-                            header.id,
-                            header.spec_fingerprint,
-                            existing.id,
-                            existing.spec_fingerprint
-                        ),
-                    ));
-                }
-            }
-        }
-        cells.extend(shard_cells.into_iter().map(|(index, _key, result)| (index, result)));
-    }
-    CampaignResult::from_stored(&merged_header.expect("at least one shard"), cells)
 }
 
 /// The campaign engine: expands a [`CampaignSpec`] into cells and runs them
@@ -405,25 +230,24 @@ impl Campaign {
         self.run_stored(spec, &mut MemoryStore, None)
             .expect("an in-memory campaign cannot fail")
             .result
-            .expect("an unsharded campaign resolves every cell")
+            .expect("a completed run resolves every cell")
     }
 
     /// Runs a campaign through a [`ResultStore`]: cells the store already
-    /// holds (earlier partial run, memoisation cache) are served without
-    /// simulating, the rest are simulated and **streamed into the store as
-    /// they complete** — so a killed run loses at most its in-flight cells
-    /// and is resumed by re-running the same command.
+    /// holds (an earlier, killed run) are served without simulating, the
+    /// rest are simulated and **streamed into the store as they
+    /// complete** — so a killed run loses at most its in-flight cells and
+    /// is resumed by re-running the same command.
     ///
-    /// With a [`Shard`], only the cells that shard owns are considered; the
-    /// returned [`StoredRun::result`] is then `None` and the full report is
-    /// produced later by [`merge_stored`] over all shard files.
+    /// The last parameter can only be `None`; it is kept for perfbench's
+    /// call site and goes with ROADMAP item 15.
     pub fn run_stored(
         &self,
         spec: &CampaignSpec,
         store: &mut dyn ResultStore,
-        shard: Option<Shard>,
+        _: Option<Infallible>,
     ) -> Result<StoredRun, StoreError> {
-        self.run_cells(spec, store, shard, |profile, mechanism, checkpoint| {
+        self.run_cells(spec, store, |profile, mechanism, checkpoint| {
             run_checkpoint(
                 &spec.profiles[profile],
                 mechanism,
@@ -444,7 +268,6 @@ impl Campaign {
         &self,
         spec: &CampaignSpec,
         store: &mut dyn ResultStore,
-        shard: Option<Shard>,
         simulate: impl Fn(usize, &MechanismConfig, usize) -> CheckpointResult + Sync,
     ) -> Result<StoredRun, StoreError> {
         let mechanisms = expand_mechanisms(spec);
@@ -481,9 +304,6 @@ impl Campaign {
         let mut hits = 0usize;
         let mut todo: Vec<usize> = Vec::new();
         for index in 0..cells {
-            if shard.is_some_and(|s| !s.owns(index)) {
-                continue;
-            }
             match store.lookup(keys[index]) {
                 Some(result) => {
                     slots[index] = Some(result);
@@ -521,22 +341,34 @@ impl Campaign {
         }
         store.finish()?;
 
-        for (slot, run) in slots.iter_mut().zip(run_slots) {
-            if run.is_some() {
-                *slot = run;
+        // Reassemble index-ordered: per benchmark, one result per mechanism
+        // (baseline first when present) over its checkpoints.
+        let mut outputs = slots
+            .into_iter()
+            .zip(run_slots)
+            .map(|(stored, run)| stored.or(run).expect("every cell is stored or simulated"));
+        let mut rows = Vec::with_capacity(spec.profiles.len());
+        for profile in &spec.profiles {
+            let mut baseline = None;
+            let mut results = Vec::new();
+            for (m, mechanism) in mechanisms.iter().enumerate() {
+                let checkpoints: Vec<CheckpointResult> =
+                    outputs.by_ref().take(n_checkpoints).collect();
+                let result = BenchmarkResult::from_checkpoints(
+                    profile.name.to_string(),
+                    mechanism.label.clone(),
+                    checkpoints,
+                );
+                if spec.baseline && m == 0 {
+                    baseline = Some(result);
+                } else {
+                    results.push(result);
+                }
             }
+            rows.push(ProfileResults { benchmark: profile.name.to_string(), baseline, results });
         }
-        let result = if slots.iter().all(Option::is_some) {
-            let outputs: Vec<CheckpointResult> = slots.into_iter().flatten().collect();
-            let benchmarks: Vec<String> =
-                spec.profiles.iter().map(|p| p.name.to_string()).collect();
-            let labels: Vec<String> = mechanisms.iter().map(|m| m.label.clone()).collect();
-            let rows = assemble_rows(&benchmarks, &labels, spec.baseline, n_checkpoints, outputs);
-            Some(CampaignResult { id: spec.id.clone(), rows, exec: exec.clone() })
-        } else {
-            None
-        };
-        Ok(StoredRun { result, exec, hits, executed, total: cells })
+        let result = Some(CampaignResult { id: spec.id.clone(), rows, exec: exec.clone() });
+        Ok(StoredRun { result, exec, hits, executed })
     }
 
     /// Runs the Figure 1 redundancy campaign: per `(profile, checkpoint)`

@@ -194,7 +194,7 @@ pub fn replay_campaign(
         ));
     }
     let run = Campaign::new(executor.clone())
-        .run_cells(spec, &mut MemoryStore, None, |profile, mechanism, checkpoint| {
+        .run_cells(spec, &mut MemoryStore, |profile, mechanism, checkpoint| {
             let mut segment = corpus[profile]
                 .segment(checkpoint)
                 .expect("segment count was validated against the spec");
@@ -215,5 +215,5 @@ pub fn replay_campaign(
             }
         })
         .expect("an in-memory campaign cannot fail");
-    Ok(run.result.expect("an unsharded campaign resolves every cell"))
+    Ok(run.result.expect("a completed run resolves every cell"))
 }

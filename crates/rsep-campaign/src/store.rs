@@ -6,21 +6,18 @@
 //! `(profile, mechanism, core config, checkpoint scale, sub-seed)`.
 //! Tweaking any configuration field changes exactly the keys of the
 //! affected cells; everything else keeps its identity — which is what
-//! makes cached results reusable across runs, config tweaks and machines.
+//! lets a resumed run serve a stored cell only to the configuration that
+//! produced it.
 //!
 //! A [`ResultStore`] receives `(index, key, result)` triples **as cells
-//! complete** and answers key lookups before the run starts. Three
+//! complete** and answers key lookups before the run starts. Two
 //! implementations cover the campaign lifecycles:
 //!
 //! * [`MemoryStore`] — no persistence; every run simulates everything
-//!   (the pre-PR-2 behaviour, still the default).
+//!   (the default).
 //! * [`JsonlStore`] — an append-only JSON-Lines file, one line per
 //!   completed cell. Reopening a partial file resumes the campaign,
-//!   re-simulating only the missing cells; shard files written by
-//!   different machines are joined with `rsep merge`.
-//! * [`CachedStore`] — a content-addressed directory (one file per
-//!   [`CellKey`]), memoising cells across campaigns: re-running a figure
-//!   after a config tweak only simulates the changed cells.
+//!   re-simulating only the missing cells.
 
 use crate::spec::CampaignSpec;
 use rsep_core::{CheckpointResult, MechanismConfig};
@@ -39,7 +36,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Bumped whenever the key derivation or the stored-cell encoding changes,
 /// so stale stores are invalidated instead of misread. Part of the on-disk
@@ -144,9 +141,10 @@ impl std::error::Error for StoreError {}
 
 /// Grid metadata persisted alongside stored cells.
 ///
-/// Carries everything needed to (a) refuse resuming a file that belongs to
-/// a different campaign and (b) reassemble a full [`crate::CampaignResult`]
-/// from bare cells when merging shards.
+/// Its spec fingerprint lets a resumed run refuse a file that belongs to a
+/// different campaign; the grid's shape (profiles, mechanism labels,
+/// checkpoints, cell count) describes the file to a reader that has only
+/// the bare cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignHeader {
     /// Campaign identifier (the spec's `id`).
@@ -610,16 +608,29 @@ impl JsonlStore {
                 fs::read_to_string(&path).map_err(|e| StoreError::new(&path, e.to_string()))?;
             let durable = jsonl::complete_prefix_len(&text);
             store.durable_len = durable as u64;
-            if durable > 0 {
-                let (header, cells) = parse_records(&path, &text[..durable])?;
-                if header.is_none() && !cells.is_empty() {
-                    return Err(StoreError::new(
-                        &path,
-                        "file has cell records but no campaign header".to_string(),
-                    ));
+            let error = |message: String| StoreError::new(&path, message);
+            let records = jsonl::decode_lines(&text[..durable])
+                .map_err(|e| error(format!("corrupt store: {e}")))?;
+            for record in &records {
+                match record.get("kind").and_then(Json::as_str) {
+                    Some("campaign") => {
+                        let parsed = CampaignHeader::from_json(record).map_err(error)?;
+                        if store.header.as_ref().is_some_and(|existing| *existing != parsed) {
+                            return Err(error(
+                                "file contains two different campaign headers".to_string(),
+                            ));
+                        }
+                        store.header = Some(parsed);
+                    }
+                    Some("cell") => {
+                        let (_, key, result) = cell_from_json(record).map_err(error)?;
+                        store.cells.insert(key, result);
+                    }
+                    _ => return Err(error("record without a known 'kind'".to_string())),
                 }
-                store.header = header;
-                store.cells = cells.into_iter().map(|(_, key, result)| (key, result)).collect();
+            }
+            if store.header.is_none() && !store.cells.is_empty() {
+                return Err(error("file has cell records but no campaign header".to_string()));
             }
         }
         Ok(store)
@@ -702,119 +713,6 @@ impl ResultStore for JsonlStore {
         if let Some(file) = self.file.as_mut() {
             file.flush().map_err(|e| StoreError::new(&self.path, e.to_string()))?;
         }
-        Ok(())
-    }
-}
-
-/// One stored cell: grid index, content-addressed key, and result.
-pub type StoredCell = (usize, CellKey, CheckpointResult);
-
-/// Reads a JSONL store file: the campaign header plus every complete cell
-/// record (an unterminated trailing line is ignored). Used by `rsep merge`,
-/// which — unlike resume — requires the header to be present.
-pub fn read_jsonl(path: &Path) -> Result<(CampaignHeader, Vec<StoredCell>), StoreError> {
-    let text = fs::read_to_string(path).map_err(|e| StoreError::new(path, e.to_string()))?;
-    let (header, cells) = parse_records(path, &text)?;
-    let header =
-        header.ok_or_else(|| StoreError::new(path, "no campaign header record".to_string()))?;
-    Ok((header, cells))
-}
-
-/// Parses the records of a JSONL store document (`path` is for error
-/// context only).
-fn parse_records(
-    path: &Path,
-    text: &str,
-) -> Result<(Option<CampaignHeader>, Vec<StoredCell>), StoreError> {
-    let values = jsonl::decode_lines(text)
-        .map_err(|e| StoreError::new(path, format!("corrupt store: {e}")))?;
-    let mut header: Option<CampaignHeader> = None;
-    let mut cells = Vec::new();
-    for value in &values {
-        match value.get("kind").and_then(Json::as_str) {
-            Some("campaign") => {
-                let parsed =
-                    CampaignHeader::from_json(value).map_err(|e| StoreError::new(path, e))?;
-                if let Some(existing) = &header {
-                    if *existing != parsed {
-                        return Err(StoreError::new(
-                            path,
-                            "file contains two different campaign headers".to_string(),
-                        ));
-                    }
-                }
-                header = Some(parsed);
-            }
-            Some("cell") => {
-                cells.push(cell_from_json(value).map_err(|e| StoreError::new(path, e))?)
-            }
-            _ => return Err(StoreError::new(path, "record without a known 'kind'".to_string())),
-        }
-    }
-    Ok((header, cells))
-}
-
-// -------------------------------------------------------------- CachedStore
-
-/// Content-addressed disk memoisation: one file per [`CellKey`] under a
-/// cache directory (default `target/rsep-cache/`).
-///
-/// Because keys are structural hashes of the full cell configuration, the
-/// cache is shared safely between *different* campaigns: any grid that
-/// contains an identical cell reuses the stored result, and a config tweak
-/// re-simulates exactly the cells it affects.
-#[derive(Debug)]
-pub struct CachedStore {
-    dir: PathBuf,
-}
-
-impl CachedStore {
-    /// The conventional cache location, `target/rsep-cache/` (what the
-    /// CLI's `--cache` flag uses).
-    pub fn default_dir() -> PathBuf {
-        PathBuf::from("target/rsep-cache")
-    }
-
-    /// Opens a cache directory, creating it if needed.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<CachedStore, StoreError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| StoreError::new(&dir, e.to_string()))?;
-        Ok(CachedStore { dir })
-    }
-
-    fn cell_path(&self, key: CellKey) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
-    }
-}
-
-impl ResultStore for CachedStore {
-    fn begin(&mut self, _header: &CampaignHeader) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn lookup(&mut self, key: CellKey) -> Option<CheckpointResult> {
-        let text = fs::read_to_string(self.cell_path(key)).ok()?;
-        match Json::parse(&text).ok().and_then(|v| cell_from_json(&v).ok()) {
-            Some((_, stored_key, result)) if stored_key == key => Some(result),
-            // Unreadable or mislabelled cache entries are treated as
-            // misses: the cell is re-simulated and the entry rewritten.
-            _ => None,
-        }
-    }
-
-    fn record(
-        &mut self,
-        index: usize,
-        key: CellKey,
-        result: &CheckpointResult,
-    ) -> Result<(), StoreError> {
-        let path = self.cell_path(key);
-        // Write-then-rename so a crash never leaves a torn cache entry
-        // behind (a torn entry would silently poison later runs).
-        let tmp = self.dir.join(format!("{key}.tmp-{}", std::process::id()));
-        let text = cell_to_json(index, key, result).to_string_compact();
-        fs::write(&tmp, text).map_err(|e| StoreError::new(&tmp, e.to_string()))?;
-        fs::rename(&tmp, &path).map_err(|e| StoreError::new(&path, e.to_string()))?;
         Ok(())
     }
 }

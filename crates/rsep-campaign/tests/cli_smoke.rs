@@ -63,25 +63,17 @@ fn bad_usage_exits_2() {
     assert_eq!(rsep(&["fig4", "--jobs", "abc"]).status.code(), Some(2));
     // A selection matching nothing is an error, not an empty report.
     assert_eq!(rsep(&["fig4", "--smoke", "--benchmarks", "nosuchbench"]).status.code(), Some(2));
-    // Store/shard misuse is caught before any simulation runs.
+    // Store misuse is caught before any simulation runs.
     assert_eq!(rsep(&["fig4", "--store", "sqlite:x"]).status.code(), Some(2));
     assert_eq!(rsep(&["fig4", "--store", "jsonl:"]).status.code(), Some(2));
-    assert_eq!(rsep(&["fig4", "--shard", "2/2"]).status.code(), Some(2));
-    assert_eq!(rsep(&["fig4", "--shard", "0/0"]).status.code(), Some(2));
-    assert_eq!(rsep(&["fig4", "--smoke", "--shard", "0/2"]).status.code(), Some(2));
     assert_eq!(rsep(&["run", "--smoke", "--store", "jsonl:x.jsonl"]).status.code(), Some(2));
-    assert_eq!(rsep(&["table1", "--cache-dir", "x"]).status.code(), Some(2));
+    // Retired command and flags: an unknown command and unknown flags.
     assert_eq!(rsep(&["merge"]).status.code(), Some(2));
-    // The store choices are mutually exclusive, in either order.
+    assert_eq!(rsep(&["fig4", "--smoke", "--shard", "0/2"]).status.code(), Some(2));
     assert_eq!(
         rsep(&["fig4", "--store", "jsonl:x.jsonl", "--cache-dir", "y"]).status.code(),
         Some(2)
     );
-    assert_eq!(
-        rsep(&["fig4", "--cache-dir", "y", "--store", "jsonl:x.jsonl"]).status.code(),
-        Some(2)
-    );
-    assert_eq!(rsep(&["fig4", "--cache", "--store", "jsonl:x.jsonl"]).status.code(), Some(2));
 }
 
 #[test]
@@ -228,10 +220,14 @@ fn the_environment_does_not_change_a_campaign() {
 
 #[test]
 fn runtime_failures_exit_1() {
-    // Merging a file that does not exist is a runtime failure, not usage.
-    let output = rsep(&["merge", "/nonexistent/rsep-shard.jsonl"]);
+    // A store that cannot be written is a runtime failure, not usage, and
+    // it stops the run before any cell simulates.
+    let output = rsep(&["fig4", "--smoke", "--store", "jsonl:/nonexistent/dir/x.jsonl"]);
     assert_eq!(output.status.code(), Some(1));
-    assert!(!String::from_utf8_lossy(&output.stderr).is_empty());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("/nonexistent/dir/x.jsonl"), "{stderr}");
+    assert!(!stderr.contains("cells/s"), "a cell simulated: {stderr}");
+    assert!(output.stdout.is_empty());
 }
 
 #[test]

@@ -1,18 +1,16 @@
-//! The pluggable result-store API: JSONL write → reopen → resume, disk
-//! memoisation hit/miss behaviour after config tweaks, shard merging, and
-//! the stability/sensitivity properties of content-addressed cell keys.
+//! The pluggable result-store API: JSONL write → kill → reopen → resume,
+//! and the stability/sensitivity properties of content-addressed cell keys.
 
 use proptest::prelude::*;
 use rsep_campaign::{
-    merge_stored, presets, CachedStore, Campaign, CampaignHeader, CampaignSpec, CellKey,
-    JsonlStore, ResultStore, Shard, StoreError,
+    presets, Campaign, CampaignHeader, CampaignSpec, CellKey, JsonlStore, ResultStore, StoreError,
 };
 use rsep_core::{checkpoint_seed, CheckpointResult, MechanismConfig, RsepConfig};
 use rsep_isa::{Fingerprint, FoldHash};
 use rsep_trace::{BenchmarkProfile, CheckpointSpec};
 use rsep_uarch::CoreConfig;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A unique, self-cleaning scratch directory per test.
 struct Scratch(PathBuf);
@@ -45,29 +43,35 @@ fn tiny_spec() -> CampaignSpec {
         .with_mechanisms(vec![MechanismConfig::rsep_ideal(), MechanismConfig::value_pred()])
 }
 
+/// Leaves behind the file of a run killed after `k` completed cells: the
+/// whole grid is stored, then the file is cut to its header plus its first
+/// `k` cell lines.
+fn killed_run_file(path: &Path, spec: &CampaignSpec, k: usize) {
+    let mut store = JsonlStore::open(path).unwrap();
+    let run = Campaign::with_jobs(2).run_stored(spec, &mut store, None).unwrap();
+    assert_eq!((run.hits, run.executed), (0, spec.cell_count()));
+    drop(store);
+    let text = fs::read_to_string(path).unwrap();
+    let kept: String = text.split_inclusive('\n').take(1 + k).collect();
+    assert_eq!(kept.lines().count(), 1 + k, "the grid has more than {k} cells");
+    fs::write(path, kept).unwrap();
+}
+
 #[test]
 fn jsonl_write_reopen_resume_round_trip() {
     let scratch = Scratch::new("jsonl-resume");
     let path = scratch.path("cells.jsonl");
     let spec = tiny_spec();
     let reference = Campaign::with_jobs(2).run(&spec);
-
-    // A partial run (one shard of two) leaves a resumable file behind —
-    // the same state a killed campaign leaves.
-    let mut store = JsonlStore::open(&path).unwrap();
-    let partial = Campaign::with_jobs(2)
-        .run_stored(&spec, &mut store, Some(Shard { index: 0, count: 2 }))
-        .unwrap();
-    assert!(partial.result.is_none());
-    assert_eq!(partial.hits, 0);
-    assert_eq!(partial.executed, spec.cell_count().div_ceil(2));
+    let k = 5;
+    killed_run_file(&path, &spec, k);
 
     // Reopening the file resumes: only the missing cells simulate.
     let mut store = JsonlStore::open(&path).unwrap();
-    assert_eq!(store.resumed_cells(), partial.executed);
+    assert_eq!(store.resumed_cells(), k);
     let resumed = Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
-    assert_eq!(resumed.hits, partial.executed);
-    assert_eq!(resumed.executed, spec.cell_count() - partial.executed);
+    assert_eq!(resumed.hits, k);
+    assert_eq!(resumed.executed, spec.cell_count() - k);
 
     // The resumed grid is bit-identical to a from-scratch run.
     let result = resumed.result.expect("full grid");
@@ -86,26 +90,22 @@ fn jsonl_tolerates_a_truncated_trailing_record() {
     let scratch = Scratch::new("jsonl-truncated");
     let path = scratch.path("cells.jsonl");
     let spec = tiny_spec();
-    let mut store = JsonlStore::open(&path).unwrap();
-    Campaign::with_jobs(2)
-        .run_stored(&spec, &mut store, Some(Shard { index: 0, count: 2 }))
-        .unwrap();
-    drop(store);
+    let k = 4;
+    killed_run_file(&path, &spec, k);
 
     // Simulate a crash mid-record: append half a line.
     let mut text = fs::read_to_string(&path).unwrap();
-    let stored_lines = text.lines().count() - 1; // minus header
     text.push_str("{\"kind\":\"cell\",\"index\":9999,\"ke");
     fs::write(&path, &text).unwrap();
 
     let mut store = JsonlStore::open(&path).unwrap();
-    assert_eq!(store.resumed_cells(), stored_lines, "torn tail must be ignored");
+    assert_eq!(store.resumed_cells(), k, "torn tail must be ignored");
     let resumed = Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
     assert!(resumed.result.is_some());
+    assert_eq!(resumed.executed, spec.cell_count() - k);
     // The torn tail was truncated before appending, so the file is whole
     // again and fully parseable.
-    let (_, cells) = rsep_campaign::read_jsonl(&path).unwrap();
-    assert_eq!(cells.len(), spec.cell_count());
+    assert_eq!(JsonlStore::open(&path).unwrap().resumed_cells(), spec.cell_count());
 }
 
 #[test]
@@ -122,8 +122,7 @@ fn jsonl_file_with_a_torn_header_is_treated_as_fresh() {
     let run = Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
     assert!(run.result.is_some());
     // The torn bytes were truncated away: the file is whole and parseable.
-    let (_, cells) = rsep_campaign::read_jsonl(&path).unwrap();
-    assert_eq!(cells.len(), spec.cell_count());
+    assert_eq!(JsonlStore::open(&path).unwrap().resumed_cells(), spec.cell_count());
 }
 
 /// A store whose `record` fails immediately, standing in for a full disk.
@@ -167,109 +166,12 @@ fn a_failing_store_cancels_the_run_instead_of_simulating_everything() {
 fn jsonl_refuses_a_file_from_a_different_campaign() {
     let scratch = Scratch::new("jsonl-mismatch");
     let path = scratch.path("cells.jsonl");
-    let mut store = JsonlStore::open(&path).unwrap();
-    Campaign::with_jobs(2)
-        .run_stored(&tiny_spec(), &mut store, Some(Shard { index: 0, count: 2 }))
-        .unwrap();
-    drop(store);
+    killed_run_file(&path, &tiny_spec(), 3);
 
     let other = tiny_spec().with_seed(12); // one-field tweak → different campaign
     let mut store = JsonlStore::open(&path).unwrap();
     let err = Campaign::with_jobs(2).run_stored(&other, &mut store, None).unwrap_err();
     assert!(err.message.contains("belongs to campaign"), "{}", err.message);
-}
-
-#[test]
-fn merged_shards_equal_the_unsharded_run() {
-    let scratch = Scratch::new("merge");
-    let spec = tiny_spec();
-    let reference = Campaign::with_jobs(8).run(&spec);
-
-    let shards = 3;
-    let mut paths = Vec::new();
-    for index in 0..shards {
-        let path = scratch.path(&format!("shard{index}.jsonl"));
-        let mut store = JsonlStore::open(&path).unwrap();
-        let run = Campaign::with_jobs(2)
-            .run_stored(&spec, &mut store, Some(Shard { index, count: shards }))
-            .unwrap();
-        assert!(run.result.is_none());
-        paths.push(path);
-    }
-    let merged = merge_stored(&paths).unwrap();
-    assert_eq!(merged.id, reference.id);
-    assert_eq!(merged.speedups().to_json(), reference.speedups().to_json());
-    assert_eq!(merged.ipcs().to_csv(), reference.ipcs().to_csv());
-}
-
-#[test]
-fn merge_reports_missing_shards() {
-    let scratch = Scratch::new("merge-missing");
-    let spec = tiny_spec();
-    let path = scratch.path("shard0.jsonl");
-    let mut store = JsonlStore::open(&path).unwrap();
-    Campaign::with_jobs(2)
-        .run_stored(&spec, &mut store, Some(Shard { index: 0, count: 2 }))
-        .unwrap();
-    drop(store);
-    let err = merge_stored(&[path]).unwrap_err();
-    assert!(err.message.contains("incomplete"), "{}", err.message);
-}
-
-#[test]
-fn cached_store_hits_fully_on_rerun_and_partially_after_a_tweak() {
-    let scratch = Scratch::new("cache");
-    let dir = scratch.path("cache");
-    let spec = tiny_spec();
-    let total = spec.cell_count();
-
-    let mut store = CachedStore::open(&dir).unwrap();
-    let cold = Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
-    assert_eq!(cold.hits, 0);
-    assert_eq!(cold.executed, total);
-
-    // Re-run: 100% cache hits, same bits.
-    let mut store = CachedStore::open(&dir).unwrap();
-    let warm = Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
-    assert_eq!(warm.hits, total);
-    assert_eq!(warm.executed, 0);
-    assert_eq!(
-        warm.result.unwrap().speedups().to_json(),
-        cold.result.unwrap().speedups().to_json()
-    );
-
-    // Tweak one field of one mechanism: only that mechanism's cells miss.
-    let mut tweaked = spec.clone();
-    let mut rsep = RsepConfig::ideal();
-    rsep.history.capacity = 512; // was 2048
-    tweaked.mechanisms[0] = MechanismConfig::rsep(rsep);
-    let mut store = CachedStore::open(&dir).unwrap();
-    let after = Campaign::with_jobs(2).run_stored(&tweaked, &mut store, None).unwrap();
-    let affected = tweaked.profiles.len() * tweaked.checkpoints.count; // one mechanism column
-    assert_eq!(after.executed, affected);
-    assert_eq!(after.hits, total - affected);
-
-    // The tweaked campaign's cells are now cached too.
-    let mut store = CachedStore::open(&dir).unwrap();
-    let warm2 = Campaign::with_jobs(2).run_stored(&tweaked, &mut store, None).unwrap();
-    assert_eq!(warm2.hits, total);
-}
-
-#[test]
-fn cached_store_treats_a_torn_entry_as_a_miss() {
-    let scratch = Scratch::new("cache-torn");
-    let dir = scratch.path("cache");
-    let spec = tiny_spec();
-    let mut store = CachedStore::open(&dir).unwrap();
-    Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
-
-    // Corrupt one entry; the re-run must silently re-simulate it.
-    let entry = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-    fs::write(&entry, "{torn").unwrap();
-    let mut store = CachedStore::open(&dir).unwrap();
-    let run = Campaign::with_jobs(2).run_stored(&spec, &mut store, None).unwrap();
-    assert_eq!(run.executed, 1);
-    assert_eq!(run.hits, spec.cell_count() - 1);
 }
 
 // ------------------------------------------------------------ key identity
@@ -353,7 +255,7 @@ fn preset_fingerprints() -> Vec<(String, u64)> {
 }
 
 /// Pinned fingerprint values: a reordered, dropped or added write changes
-/// one of them and every cached cell key with it.
+/// one of them and every stored cell key with it.
 const PINNED_FINGERPRINTS: &[(&str, u64)] = &[
     ("core/table1", 0x8830855f8a086429),
     ("core/small_test", 0x191e24d78170b0fc),
@@ -471,8 +373,8 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Distinct sub-seeds never share a key (no accidental cache aliasing
-    /// between checkpoints or campaign seeds).
+    /// Distinct sub-seeds never share a key (no stored cell is served to
+    /// another checkpoint or campaign seed).
     #[test]
     fn distinct_sub_seeds_give_distinct_keys(seed in any::<u64>(), delta in 1u64..1_000) {
         let profile = BenchmarkProfile::by_name("gcc").unwrap();

@@ -6,13 +6,13 @@
 //! parameters, checkpoint scale, sub-seed). Config types across the
 //! workspace implement [`Fingerprint`] by feeding each field into an
 //! [`Fnv`] hasher, so tweaking any parameter changes exactly the keys of
-//! the affected cells — the basis for disk memoisation and crash-resumable
-//! campaign stores in `rsep-campaign`.
+//! the affected cells — the basis for the crash-resumable campaign stores
+//! in `rsep-campaign`.
 //!
 //! Unlike `std::hash::Hash`, the result is **stable across processes,
 //! platforms and compiler versions**: FNV-1a over a defined byte encoding,
-//! with no randomised state. That stability is what allows cached cell
-//! results written by one run (or one machine) to be reused by another.
+//! with no randomised state. That stability is what allows stored cell
+//! results written by one run to be served to the run that resumes it.
 
 /// 64-bit FNV-1a hasher with a defined, platform-independent encoding.
 ///
